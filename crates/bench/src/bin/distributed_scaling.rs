@@ -9,7 +9,7 @@
 //! chunk pipeline really overlaps). The split does *not* conserve work
 //! the way batch sharding does: each chunk solves three right-hand
 //! sides (y, u, w), so the summed device time grows ~3x; the win is
-//! capacity plus wall-clock, not total flops (DESIGN.md §15).
+//! capacity plus wall-clock, not total flops (DESIGN.md §10).
 //!
 //! Run: `cargo run --release -p bench --bin distributed_scaling
 //!       [-- --fast] [-- --history FILE]`

@@ -39,7 +39,7 @@ use tridiag_core::generators::random_batch;
 use tridiag_core::{Layout, SystemBatch};
 use tridiag_gpu::autotune;
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
-use tridiag_gpu::{davidson, zhang};
+use tridiag_gpu::{davidson, zhang, DistributedPlan};
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -181,6 +181,44 @@ fn split_count_group(
         None => DeviceGroup::homogeneous(device.clone(), d)
             .map_err(|e| Failure::Error(format!("--split-n {d}: {e}"))),
     }
+}
+
+/// The multi-device plan `--split-n` or `--devices` asks `plan` /
+/// `verify` for, with the group it runs on; `None` when neither flag is
+/// given.
+fn multi_device_plan(
+    a: &Args,
+    solver: &GpuTridiagSolver,
+    device: &DeviceSpec,
+    m: usize,
+    n: usize,
+    elem_bytes: usize,
+) -> Result<Option<(DeviceGroup, DistributedPlan)>, Failure> {
+    let split = split_n_opt(a)?;
+    let group = match split {
+        Some(split) => split_count_group(a, device, split, m)?,
+        None => match device_group(a, device)? {
+            Some(group) => group,
+            None => return Ok(None),
+        },
+    };
+    let plan = match split {
+        Some(_) => solver.plan_geometry_split(&group, n, elem_bytes),
+        None => solver.plan_geometry_group(&group, m, n, elem_bytes),
+    }
+    .map_err(|e| e.to_string())?;
+    Ok(Some((group, plan)))
+}
+
+/// A multi-device verification's findings as a failure (exit 2).
+fn verify_outcome(report: &tridiag_gpu::DistributedVerifyReport) -> Result<(), Failure> {
+    if report.is_clean() {
+        return Ok(());
+    }
+    Err(Failure::Findings(format!(
+        "plan verification:\n  - {}",
+        report.messages().join("\n  - ")
+    )))
 }
 
 /// Parse `--layout`: the planner's memory-layout choice. `auto`
@@ -427,59 +465,30 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
             ..Default::default()
         };
         let solver = GpuTridiagSolver::new(device.clone(), config);
-        if let Some(split) = split {
-            let resolved = resolve_split(
-                &solver,
-                device,
-                group.as_ref(),
-                split,
-                n,
-                <S as gpu_sim::Elem>::BYTES,
-            )?;
-            if let Some(sgroup) = resolved {
-                let plan = solver
-                    .plan_geometry_split(&sgroup, n, <S as gpu_sim::Elem>::BYTES)
-                    .map_err(|e| e.to_string())?;
-                if json {
-                    println!("{}", plan.to_json());
-                } else {
-                    print!("{}", plan.describe());
-                    println!("dry run     : no kernels launched");
+        let bytes = <S as gpu_sim::Elem>::BYTES;
+        let multi = match (split, group) {
+            (Some(split), _) => resolve_split(&solver, device, group.as_ref(), split, n, bytes)?
+                .map(|g| solver.plan_geometry_split(&g, n, bytes))
+                .transpose(),
+            (None, Some(group)) => solver.plan_geometry_group(group, m, n, bytes).map(Some),
+            (None, None) => Ok(None),
+        }
+        .map_err(|e| e.to_string())?;
+        let (json_doc, text) = match multi {
+            Some(plan) => (plan.to_json(), plan.describe()),
+            None => {
+                // No group, or `--split-n auto` resolved to one device.
+                if split.is_some() && !json {
+                    println!("split       : n = {n} fits on one device; no split needed");
                 }
-                return Ok(());
+                let plan = solver.plan_geometry(m, n, bytes).map_err(|e| e.to_string())?;
+                (plan.to_json(), plan.describe())
             }
-            // `auto` resolved to the ordinary single-device plan.
-            let plan = solver
-                .plan_geometry(m, n, <S as gpu_sim::Elem>::BYTES)
-                .map_err(|e| e.to_string())?;
-            if json {
-                println!("{}", plan.to_json());
-            } else {
-                println!("split       : n = {n} fits on one device; no split needed");
-                print!("{}", plan.describe());
-                println!("dry run     : no kernels launched");
-            }
-            return Ok(());
-        }
-        if let Some(group) = group {
-            let plan = solver
-                .plan_geometry_group(group, m, n, <S as gpu_sim::Elem>::BYTES)
-                .map_err(|e| e.to_string())?;
-            if json {
-                println!("{}", plan.to_json());
-            } else {
-                print!("{}", plan.describe());
-                println!("dry run     : no kernels launched");
-            }
-            return Ok(());
-        }
-        let plan = solver
-            .plan_geometry(m, n, <S as gpu_sim::Elem>::BYTES)
-            .map_err(|e| e.to_string())?;
+        };
         if json {
-            println!("{}", plan.to_json());
+            println!("{json_doc}");
         } else {
-            print!("{}", plan.describe());
+            print!("{text}");
             println!("dry run     : no kernels launched");
         }
         return Ok(());
@@ -730,11 +739,7 @@ fn cmd_plan(a: &Args) -> Result<(), Failure> {
         ..Default::default()
     };
     let solver = GpuTridiagSolver::new(device.clone(), config);
-    if let Some(split) = split {
-        let group = split_count_group(a, &device, split, m)?;
-        let plan = solver
-            .plan_geometry_split(&group, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
+    if let Some((group, plan)) = multi_device_plan(a, &solver, &device, m, n, elem_bytes)? {
         if a.flag("json") {
             println!("{}", plan.to_json());
         } else {
@@ -745,35 +750,7 @@ fn cmd_plan(a: &Args) -> Result<(), Failure> {
             if !a.flag("json") {
                 println!("{report}");
             }
-            if !report.is_clean() {
-                return Err(Failure::Findings(format!(
-                    "plan verification:\n  - {}",
-                    report.messages().join("\n  - ")
-                )));
-            }
-        }
-        return Ok(());
-    }
-    if let Some(group) = device_group(a, &device)? {
-        let plan = solver
-            .plan_geometry_group(&group, m, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
-        if a.flag("json") {
-            println!("{}", plan.to_json());
-        } else {
-            print!("{}", plan.describe());
-        }
-        if a.flag("verify") {
-            let report = tridiag_gpu::verify_sharded_plan(&group, &plan);
-            if !a.flag("json") {
-                println!("{report}");
-            }
-            if !report.is_clean() {
-                return Err(Failure::Findings(format!(
-                    "plan verification:\n  - {}",
-                    report.messages().join("\n  - ")
-                )));
-            }
+            verify_outcome(&report)?;
         }
         return Ok(());
     }
@@ -881,76 +858,50 @@ fn plan_sweep(device: &DeviceSpec) -> Result<(), Failure> {
             );
         }
     }
-    // Sharded plans: a representative subset of the sweep, partitioned
-    // across homogeneous 2- and 4-device groups, each serialized plan
-    // re-parsed and checked against the sharded-plan schema.
+    // Multi-device plans: a representative subset of the sweep sharded
+    // across homogeneous 2- and 4-device groups, and one system
+    // row-split across D ∈ {1, 2, 4} (D = 1 is the identity), each
+    // serialized plan re-parsed and checked against the
+    // tridiag.distributed_plan/v2 schema.
     const SHARDED: &[(usize, usize)] = &[(64, 512), (256, 2048), (16, 1024), (2048, 64)];
-    for &devices in &[2usize, 4] {
+    const SPLIT_N: &[usize] = &[512, 16384];
+    let mut multi = Vec::new();
+    for devices in [1usize, 2, 4] {
         let group = DeviceGroup::homogeneous(device.clone(), devices)
             .map_err(|e| e.to_string())?;
-        for &(m, n) in SHARDED {
-            let plan = solver
-                .plan_geometry_group(&group, m, n, 8)
-                .map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_sharded_plan_json(&doc) {
-                        problems.push(format!("m={m} n={n} f64 D={devices}: {p}"));
-                    }
-                }
-                Err(e) => problems.push(format!(
-                    "m={m} n={n} f64 D={devices}: JSON reparse failed: {e}"
-                )),
-            }
-            planned += 1;
-            println!(
-                "m={m:<5} n={n:<6} f64 x{devices}: k={} shards=[{}] device_bytes={}",
-                plan.reference.k,
-                plan.shards
-                    .iter()
-                    .map(|s| s.sys_count.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                plan.device_bytes(),
-            );
+        let sharded = SHARDED.iter().filter(|_| devices > 1).map(|&(m, n)| {
+            let label = format!("m={m:<5} n={n:<6} f64 x{devices}");
+            (label, solver.plan_geometry_group(&group, m, n, 8))
+        });
+        let split = SPLIT_N.iter().map(|&n| {
+            let label = format!("n={n:<6} f64 split x{devices}");
+            (label, solver.plan_geometry_split(&group, n, 8))
+        });
+        for (label, plan) in sharded.chain(split) {
+            multi.push((label, plan.map_err(|e| e.to_string())?));
         }
     }
-    // Distributed single-system plans: one N row-split across D ∈
-    // {1, 2, 4} devices, each serialized plan re-parsed and checked
-    // against the tridiag.distributed_plan/v1 schema (D = 1 is the
-    // identity path).
-    const SPLIT_N: &[usize] = &[512, 16384];
-    for &devices in &[1usize, 2, 4] {
-        let group = DeviceGroup::homogeneous(device.clone(), devices)
-            .map_err(|e| e.to_string())?;
-        for &n in SPLIT_N {
-            let plan = solver
-                .plan_geometry_split(&group, n, 8)
-                .map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_distributed_plan_json(&doc) {
-                        problems.push(format!("split n={n} f64 D={devices}: {p}"));
-                    }
+    for (label, plan) in &multi {
+        match gpu_sim::json::parse(&plan.to_json().to_string()) {
+            Ok(doc) => {
+                for p in tridiag_gpu::validate_distributed_plan_json(&doc) {
+                    problems.push(format!("{label}: {p}"));
                 }
-                Err(e) => problems.push(format!(
-                    "split n={n} f64 D={devices}: JSON reparse failed: {e}"
-                )),
             }
-            planned += 1;
-            println!(
-                "n={n:<6} f64 split x{devices}: chunks=[{}] reduced_n={} device_bytes={}",
-                plan.chunks
-                    .iter()
-                    .map(|c| c.row_count.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                plan.reduced.as_ref().map_or(0, |r| r.n),
-                plan.device_bytes(),
-            );
+            Err(e) => problems.push(format!("{label}: JSON reparse failed: {e}")),
         }
+        planned += 1;
+        println!(
+            "{label}: split={} parts=[{}] reduced_n={} device_bytes={}",
+            plan.split.label(),
+            plan.parts
+                .iter()
+                .map(|p| p.count.to_string())
+                .collect::<Vec<_>>()
+                .join(", "),
+            plan.reduced.as_ref().map_or(0, |r| r.n),
+            plan.device_bytes(),
+        );
     }
     println!("{planned} plans built and schema-validated, no kernels launched");
     if !problems.is_empty() {
@@ -988,42 +939,14 @@ fn cmd_verify(a: &Args) -> Result<(), Failure> {
         ..Default::default()
     };
     let solver = GpuTridiagSolver::new(device.clone(), config);
-    if let Some(split) = split {
-        let group = split_count_group(a, &device, split, m)?;
-        let plan = solver
-            .plan_geometry_split(&group, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
+    if let Some((group, plan)) = multi_device_plan(a, &solver, &device, m, n, elem_bytes)? {
         let report = tridiag_gpu::verify_distributed_plan(&group, &plan);
         if a.flag("json") {
             println!("{}", report.to_json());
         } else {
             println!("{report}");
         }
-        if !report.is_clean() {
-            return Err(Failure::Findings(format!(
-                "plan verification:\n  - {}",
-                report.messages().join("\n  - ")
-            )));
-        }
-        return Ok(());
-    }
-    if let Some(group) = device_group(a, &device)? {
-        let plan = solver
-            .plan_geometry_group(&group, m, n, elem_bytes)
-            .map_err(|e| e.to_string())?;
-        let report = tridiag_gpu::verify_sharded_plan(&group, &plan);
-        if a.flag("json") {
-            println!("{}", report.to_json());
-        } else {
-            println!("{report}");
-        }
-        if !report.is_clean() {
-            return Err(Failure::Findings(format!(
-                "plan verification:\n  - {}",
-                report.messages().join("\n  - ")
-            )));
-        }
-        return Ok(());
+        return verify_outcome(&report);
     }
     let plan = solver.plan_geometry(m, n, elem_bytes).map_err(|e| e.to_string())?;
     let report = tridiag_gpu::verify_plan(&device, &plan);
@@ -1136,7 +1059,7 @@ fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
             let plan = solver
                 .plan_geometry_group(&group, m, n, 8)
                 .map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_sharded_plan(&group, &plan);
+            let report = tridiag_gpu::verify_distributed_plan(&group, &plan);
             let before = problems.len();
             for msg in report.messages() {
                 problems.push(format!("m={m} n={n} f64 D={devices}: {msg}"));
@@ -1150,7 +1073,7 @@ fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
             verified += 1;
             println!(
                 "m={m:<5} n={n:<6} f64 x{devices}: {} shard(s) certified  {}",
-                report.shards.len(),
+                report.parts.len(),
                 if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
             );
         }
@@ -1189,7 +1112,7 @@ fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
                 let sharded = forced
                     .plan_geometry_group(&group, m, n, 8)
                     .map_err(|e| e.to_string())?;
-                let sreport = tridiag_gpu::verify_sharded_plan(&group, &sharded);
+                let sreport = tridiag_gpu::verify_distributed_plan(&group, &sharded);
                 for msg in sreport.messages() {
                     problems.push(format!(
                         "m={m} n={n} f64 D={devices} --layout {label}: {msg}"
@@ -1348,8 +1271,8 @@ fn verify_negative(device: &DeviceSpec) -> Result<(), Failure> {
         .plan_geometry_group(&group, 64, 512, 8)
         .map_err(|e| e.to_string())?;
     let mut p = sharded.clone();
-    p.shards[1].sys_start += 1;
-    let report = tridiag_gpu::verify_sharded_plan(&group, &p);
+    p.parts[1].start += 1;
+    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
     match report
         .findings
         .iter()
@@ -1359,8 +1282,10 @@ fn verify_negative(device: &DeviceSpec) -> Result<(), Failure> {
         None => missing.push("gapped shard partition: expected shard-partition".into()),
     }
     let mut p = sharded.clone();
-    p.shards[0].plan.k += 1;
-    let report = tridiag_gpu::verify_sharded_plan(&group, &p);
+    if let Some(plan) = &mut p.parts[0].plan {
+        plan.k += 1;
+    }
+    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
     match report
         .findings
         .iter()
@@ -1376,12 +1301,12 @@ fn verify_negative(device: &DeviceSpec) -> Result<(), Failure> {
         .plan_geometry_split(&group, 512, 8)
         .map_err(|e| e.to_string())?;
     let mut p = dbase.clone();
-    p.chunks[0].interior = None;
+    p.parts[0].plan = None;
     let report = tridiag_gpu::verify_distributed_plan(&group, &p);
     match report
         .findings
         .iter()
-        .find(|f| f.kind == FindingKind::InterfaceExchange && f.chunk == Some(0))
+        .find(|f| f.kind == FindingKind::InterfaceExchange && f.part == Some(0))
     {
         Some(f) => findings.push(format!("interface used before defined: caught: {f}")),
         None => missing.push(
@@ -1389,12 +1314,12 @@ fn verify_negative(device: &DeviceSpec) -> Result<(), Failure> {
         ),
     }
     let mut p = dbase.clone();
-    p.chunks[1].row_start += 1;
+    p.parts[1].start += 1;
     let report = tridiag_gpu::verify_distributed_plan(&group, &p);
     match report
         .findings
         .iter()
-        .find(|f| f.kind == FindingKind::ChunkPartition && f.chunk == Some(1))
+        .find(|f| f.kind == FindingKind::ChunkPartition && f.part == Some(1))
     {
         Some(f) => findings.push(format!("gapped chunk partition: caught: {f}")),
         None => missing

@@ -67,3 +67,18 @@ fn bad_input_fails_with_usage() {
     assert!(!ok3);
     assert!(stderr3.contains("cannot parse"), "{stderr3}");
 }
+
+#[test]
+fn multi_device_plan_json_validates_against_the_v2_schema() {
+    for args in [
+        &["plan", "--devices", "2", "--json"][..],
+        &["plan", "--split-n", "2", "--n", "16384", "--json"][..],
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{args:?}: stderr: {stderr}");
+        let doc = gpu_sim::json::parse(stdout.trim())
+            .unwrap_or_else(|e| panic!("{args:?}: unparseable JSON: {e}"));
+        let problems = tridiag_gpu::validate_distributed_plan_json(&doc);
+        assert!(problems.is_empty(), "{args:?}: {problems:?}");
+    }
+}

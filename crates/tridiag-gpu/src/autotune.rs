@@ -9,11 +9,11 @@
 //! bench binary prints the result next to the paper's values.
 
 use crate::buffers::GpuScalar;
+use crate::distributed::{DistributedExecutor, DistributedPlan, Split};
 use crate::executor::PlanExecutor;
-use crate::plan::{ShardedPlan, SolvePlan};
-use crate::sharded::ShardedExecutor;
+use crate::plan::SolvePlan;
 use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
-use gpu_sim::{DeviceGroup, DeviceSpec, Result};
+use gpu_sim::{DeviceGroup, DeviceSpec, ExecConfig, Result};
 use tridiag_core::generators::random_batch;
 use tridiag_core::transition::{max_k_for, TransitionPolicy};
 
@@ -32,22 +32,14 @@ pub struct TunePoint {
     pub k0_us: f64,
 }
 
-/// The candidate plan for probing a fixed `k` on an `(m, n)` batch.
-fn candidate_plan(
-    spec: &DeviceSpec,
-    m: usize,
-    n: usize,
-    k: u32,
-    elem_bytes: usize,
-    layout: LayoutChoice,
-) -> Result<SolvePlan> {
-    let config = GpuSolverConfig {
+/// The config that probes a fixed `k` under `layout`.
+fn candidate_config(k: u32, layout: LayoutChoice) -> GpuSolverConfig {
+    GpuSolverConfig {
         policy: TransitionPolicy::Fixed(k),
         mapping: MappingVariant::Auto,
         layout,
         ..Default::default()
-    };
-    SolvePlan::build(spec, &config, m, n, elem_bytes)
+    }
 }
 
 /// Modeled time of solving an `(m, n)` batch with a fixed `k`.
@@ -58,7 +50,8 @@ pub fn modeled_time_for_k<S: GpuScalar>(
     k: u32,
     seed: u64,
 ) -> Result<f64> {
-    let plan = candidate_plan(spec, m, n, k, <S as gpu_sim::Elem>::BYTES, LayoutChoice::Auto)?;
+    let config = candidate_config(k, LayoutChoice::Auto);
+    let plan = SolvePlan::build(spec, &config, m, n, <S as gpu_sim::Elem>::BYTES)?;
     let batch = random_batch::<S>(m, n, seed);
     let mut executor = PlanExecutor::new(spec.clone(), plan.config.exec);
     let (_, report) = executor.run(&plan, &batch)?;
@@ -89,49 +82,16 @@ pub fn tune_with_layout<S: GpuScalar>(
     k_max: u32,
     layout: LayoutChoice,
 ) -> Result<Vec<TunePoint>> {
-    let mut out = Vec::with_capacity(m_values.len());
-    for &m in m_values {
-        let cap = max_k_for(n).min(k_max);
-        let candidates: Vec<(u32, SolvePlan)> = (0..=cap)
-            .map(|k| {
-                candidate_plan(spec, m, n, k, <S as gpu_sim::Elem>::BYTES, layout)
-                    .map(|p| (k, p))
-            })
-            .collect::<Result<_>>()?;
-        let batch = random_batch::<S>(m, n, 42 + m as u64);
-        let mut best_k = 0;
-        let mut best_us = f64::INFINITY;
-        let mut k0_us = 0.0;
-        for (k, plan) in &candidates {
-            let mut executor = PlanExecutor::new(spec.clone(), plan.config.exec);
-            let (_, report) = executor.run(plan, &batch)?;
-            let us = report.total_us;
-            if *k == 0 {
-                k0_us = us;
-            }
-            if us < best_us {
-                best_us = us;
-                best_k = *k;
-            }
-        }
-        out.push(TunePoint {
-            m,
-            n,
-            best_k,
-            best_us,
-            k0_us,
-        });
-    }
-    Ok(out)
+    tune_sharded_with_layout::<S>(&DeviceGroup::single(spec.clone()), m_values, n, k_max, layout)
 }
 
 /// [`tune`] across a [`DeviceGroup`]: each candidate `k` is planned as
-/// a [`ShardedPlan`] (the fixed `k` pinned into every shard) and
-/// executed through the [`ShardedExecutor`], so the ranking metric is
-/// the group's modeled kernel wall-clock — max over devices, not a sum.
-/// Candidate `k`s that cannot shard (`m <` device count never arises
-/// here since the plan itself rejects it) propagate their typed error.
-pub fn tune_sharded<S: GpuScalar + Send + Sync>(
+/// a [`Split::Systems`] [`DistributedPlan`] (the fixed `k` pinned into
+/// every shard) and executed through the [`DistributedExecutor`], so
+/// the ranking metric is the group's modeled kernel wall-clock — max
+/// over devices, not a sum. A one-device group is exactly [`tune`].
+/// Planning failures (e.g. `m <` device count) propagate typed.
+pub fn tune_sharded<S: GpuScalar>(
     group: &DeviceGroup,
     m_values: &[usize],
     n: usize,
@@ -142,7 +102,7 @@ pub fn tune_sharded<S: GpuScalar + Send + Sync>(
 
 /// [`tune_sharded`] with the planner's layout choice pinned into every
 /// shard (see [`tune_with_layout`] for the single-device semantics).
-pub fn tune_sharded_with_layout<S: GpuScalar + Send + Sync>(
+pub fn tune_sharded_with_layout<S: GpuScalar>(
     group: &DeviceGroup,
     m_values: &[usize],
     n: usize,
@@ -153,15 +113,11 @@ pub fn tune_sharded_with_layout<S: GpuScalar + Send + Sync>(
     for &m in m_values {
         let cap = max_k_for(n).min(k_max);
         let bytes = <S as gpu_sim::Elem>::BYTES;
-        let candidates: Vec<(u32, ShardedPlan)> = (0..=cap)
+        let candidates: Vec<(u32, DistributedPlan)> = (0..=cap)
             .map(|k| {
-                let config = GpuSolverConfig {
-                    policy: TransitionPolicy::Fixed(k),
-                    mapping: MappingVariant::Auto,
-                    layout,
-                    ..Default::default()
-                };
-                ShardedPlan::build(group, &config, m, n, bytes).map(|p| (k, p))
+                let config = candidate_config(k, layout);
+                DistributedPlan::build(group, &config, Split::Systems, m, n, bytes)
+                    .map(|p| (k, p))
             })
             .collect::<Result<_>>()?;
         let batch = random_batch::<S>(m, n, 42 + m as u64);
@@ -169,7 +125,7 @@ pub fn tune_sharded_with_layout<S: GpuScalar + Send + Sync>(
         let mut best_us = f64::INFINITY;
         let mut k0_us = 0.0;
         for (k, plan) in &candidates {
-            let executor = ShardedExecutor::new(group.clone(), plan.reference.config.exec);
+            let executor = DistributedExecutor::new(group.clone(), ExecConfig::default());
             let (_, report) = executor.run(plan, &batch)?;
             let us = report.total_us;
             if *k == 0 {

@@ -400,44 +400,52 @@ fn build_trace(spec: &DeviceSpec, plan: &SolvePlan, kernels: &[KernelReport]) ->
     );
     let mut cursor = 0.0f64;
     for kr in kernels {
-        let t = &kr.timing;
-        tr.span(
-            format!("kernel:{}", t.name),
-            "kernel",
-            0,
-            cursor,
-            t.total_us,
-            vec![
-                ("blocks".into(), Json::num(kr.blocks as f64)),
-                ("bound".into(), Json::str(format!("{:?}", t.bound))),
-                ("occupancy".into(), Json::num(t.occupancy_fraction)),
-                ("waves".into(), Json::num(t.waves)),
-            ],
-        );
-        tr.span("launch_overhead", "kernel", 0, cursor, t.launch_us, Vec::new());
-        let mut at = cursor + t.launch_us;
-        for ph in &t.phases {
-            tr.span(
-                format!("phase:{}", ph.label),
-                "phase",
-                0,
-                at,
-                ph.us,
-                vec![
-                    ("bound".into(), Json::str(format!("{:?}", ph.bound))),
-                    ("flops".into(), Json::num(ph.stats.flops as f64)),
-                    ("global_bytes".into(), Json::num(ph.stats.global_bytes() as f64)),
-                    (
-                        "transactions".into(),
-                        Json::num(ph.stats.global_transactions() as f64),
-                    ),
-                ],
-            );
-            at += ph.us;
-        }
-        cursor += t.total_us;
+        kernel_spans(&mut tr, 0, cursor, kr);
+        cursor += kr.timing.total_us;
     }
     tr
+}
+
+/// Emit one launch as a kernel span on track `tid` starting at `start`
+/// (µs), with its launch overhead and per-phase children nested inside.
+/// Phase durations are copied verbatim, so the children sum to the
+/// kernel span minus its launch overhead bit-exactly.
+pub(crate) fn kernel_spans(tr: &mut Trace, tid: u32, start: f64, kr: &KernelReport) {
+    let t = &kr.timing;
+    tr.span(
+        format!("kernel:{}", t.name),
+        "kernel",
+        tid,
+        start,
+        t.total_us,
+        vec![
+            ("blocks".into(), Json::num(kr.blocks as f64)),
+            ("bound".into(), Json::str(format!("{:?}", t.bound))),
+            ("occupancy".into(), Json::num(t.occupancy_fraction)),
+            ("waves".into(), Json::num(t.waves)),
+        ],
+    );
+    tr.span("launch_overhead", "kernel", tid, start, t.launch_us, Vec::new());
+    let mut at = start + t.launch_us;
+    for ph in &t.phases {
+        tr.span(
+            format!("phase:{}", ph.label),
+            "phase",
+            tid,
+            at,
+            ph.us,
+            vec![
+                ("bound".into(), Json::str(format!("{:?}", ph.bound))),
+                ("flops".into(), Json::num(ph.stats.flops as f64)),
+                ("global_bytes".into(), Json::num(ph.stats.global_bytes() as f64)),
+                (
+                    "transactions".into(),
+                    Json::num(ph.stats.global_transactions() as f64),
+                ),
+            ],
+        );
+        at += ph.us;
+    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@ pub mod executor;
 pub mod hash;
 pub mod kernels;
 pub mod plan;
-pub mod sharded;
 pub mod solver;
 pub mod verify;
 pub mod zhang;
@@ -29,22 +28,16 @@ pub mod zoo;
 
 pub use buffers::{download_solution, upload, DeviceBatch, GpuScalar};
 pub use distributed::{
-    partition_rows, validate_distributed_plan_json, ChunkPlan, DistributedExecutor,
-    DistributedPlan,
+    validate_distributed_plan_json, DistributedExecutor, DistributedPlan, Pinned, PlanPart, Split,
 };
 pub use executor::PlanExecutor;
 pub use hash::solution_hash;
-pub use plan::{
-    partition_systems, validate_plan_json, validate_sharded_plan_json, ShardPlan, ShardedPlan,
-    SolvePlan, Step,
-};
-pub use sharded::ShardedExecutor;
+pub use plan::{validate_plan_json, SolvePlan, Step};
 pub use solver::{
     CostModel, DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver,
     LayoutChoice, MappingVariant, ShardSummary,
 };
 pub use verify::{
-    verify_distributed_plan, verify_plan, verify_sharded_plan, DistributedVerifyReport,
-    DynamicPlanStats, FindingKind, PlanFinding, PlanPrediction, ShardedVerifyReport,
-    SlotLiveness, VerifyReport,
+    verify_distributed_plan, verify_plan, DistributedVerifyReport, DynamicPlanStats, FindingKind,
+    PlanFinding, PlanPrediction, SlotLiveness, VerifyReport,
 };

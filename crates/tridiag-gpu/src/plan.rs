@@ -23,10 +23,9 @@
 use crate::consts::{REGS_FUSED, REGS_PTHOMAS, REGS_TILED_PCR};
 use crate::kernels::p_thomas::AddrMap;
 use crate::kernels::tiled_pcr::{StreamSlot, TiledPcrKernel};
-use crate::solver::{CostModel, GpuSolverConfig, LayoutChoice, MappingVariant};
+use crate::solver::{CostModel, GpuSolverConfig, MappingVariant};
 use gpu_sim::json::schema::Check;
-use gpu_sim::{DeviceGroup, DeviceSpec, Json, Result, SimError};
-use tridiag_core::transition::TransitionPolicy;
+use gpu_sim::{DeviceSpec, Json, Result, SimError};
 use tridiag_core::Layout;
 
 pub mod cost;
@@ -910,379 +909,10 @@ pub fn validate_plan_json(doc: &Json) -> Vec<String> {
     c.finish()
 }
 
-// ---------------------------------------------------------------------
-// Multi-device sharding
-// ---------------------------------------------------------------------
-
-/// Contiguous, balanced partition of `m` systems across `d` devices:
-/// shard `i` gets `m / d` systems plus one of the first `m % d`
-/// remainders, so shard sizes differ by at most 1 and every system
-/// index lands in exactly one shard, in order. Returns `(sys_start,
-/// sys_count)` per shard.
-///
-/// Fails with [`SimError::InvalidPlan`] when `d == 0`, `m == 0`, or
-/// `m < d` (a device would receive an empty shard).
-pub fn partition_systems(m: usize, d: usize) -> Result<Vec<(usize, usize)>> {
-    if d == 0 {
-        return Err(SimError::InvalidPlan("device group is empty".into()));
-    }
-    if m == 0 {
-        return Err(SimError::InvalidPlan(
-            "cannot shard an empty batch (m = 0)".into(),
-        ));
-    }
-    if m < d {
-        return Err(SimError::InvalidPlan(format!(
-            "cannot shard {m} system(s) across {d} devices: a device would idle"
-        )));
-    }
-    let base = m / d;
-    let rem = m % d;
-    let mut shards = Vec::with_capacity(d);
-    let mut start = 0usize;
-    for i in 0..d {
-        let count = base + usize::from(i < rem);
-        shards.push((start, count));
-        start += count;
-    }
-    debug_assert_eq!(start, m);
-    Ok(shards)
-}
-
-/// One device's share of a sharded solve: which systems it owns and the
-/// [`SolvePlan`] (built against *its* spec) that solves them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardPlan {
-    /// Index into the [`DeviceGroup`] this shard runs on.
-    pub device_index: usize,
-    /// First system (in the caller's batch) this shard owns.
-    pub sys_start: usize,
-    /// Number of systems this shard owns.
-    pub sys_count: usize,
-    /// The per-device plan for the shard's sub-batch.
-    pub plan: SolvePlan,
-}
-
-/// A solve sharded across a [`DeviceGroup`]: a reference single-device
-/// plan for the full batch (built on the primary device — the source of
-/// the global pipeline decisions) plus one [`ShardPlan`] per device.
-///
-/// Bit-identity with the single-device path requires every shard to run
-/// the *same* pipeline on its systems, so the reference plan's decisions
-/// (`k`, resolved mapping, fusion) are pinned into each shard's config;
-/// [`SolvePlan::build`] then re-applies the shard device's own clamps
-/// (shared-memory capacity, max block size), which on a heterogeneous
-/// group may lower `k` for that shard — a documented deviation
-/// (bit-identity is guaranteed for homogeneous groups).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedPlan {
-    /// Number of systems in the full batch.
-    pub m: usize,
-    /// Rows per system.
-    pub n: usize,
-    /// Scalar width in bytes (4 or 8).
-    pub elem_bytes: usize,
-    /// Precision label (`"f32"` / `"f64"`).
-    pub precision: &'static str,
-    /// Single-device plan for the full batch on the primary device —
-    /// the source of the pinned global decisions and the merged
-    /// report's `plan`.
-    pub reference: SolvePlan,
-    /// Per-device shard plans, in device order.
-    pub shards: Vec<ShardPlan>,
-}
-
-impl ShardedPlan {
-    /// Plan a solve of `m` systems of `n` rows sharded across `group`.
-    /// Pure, like [`SolvePlan::build`]. A single-device group yields
-    /// the identity: one shard whose plan *is* the reference plan.
-    ///
-    /// Fails with [`SimError::InvalidPlan`] on an empty geometry, an
-    /// unsupported scalar width, `m <` device count, or any per-device
-    /// plan failure (e.g. a shard footprint beyond its device's global
-    /// memory).
-    pub fn build(
-        group: &DeviceGroup,
-        config: &GpuSolverConfig,
-        m: usize,
-        n: usize,
-        elem_bytes: usize,
-    ) -> Result<ShardedPlan> {
-        let reference = SolvePlan::build(group.primary(), config, m, n, elem_bytes)?;
-        if group.len() == 1 {
-            let shards = vec![ShardPlan {
-                device_index: 0,
-                sys_start: 0,
-                sys_count: m,
-                plan: reference.clone(),
-            }];
-            return Ok(ShardedPlan {
-                m,
-                n,
-                elem_bytes,
-                precision: reference.precision,
-                reference,
-                shards,
-            });
-        }
-        let ranges = partition_systems(m, group.len())?;
-        // Pin the reference's global decisions so every shard runs the
-        // same pipeline on its systems (per-device clamps still apply
-        // inside SolvePlan::build).
-        let pinned = GpuSolverConfig {
-            policy: TransitionPolicy::Fixed(reference.k),
-            mapping: reference.mapping,
-            fused: reference.fused,
-            // Layout is pinned too (the cost model may choose
-            // differently at the shard's smaller m), and the cost
-            // model switched to Legacy so the pinned decisions replay
-            // verbatim instead of being re-scored.
-            cost: CostModel::Legacy,
-            layout: LayoutChoice::pin(reference.layout),
-            ..*config
-        };
-        let shards = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(device_index, (sys_start, sys_count))| {
-                SolvePlan::build(
-                    &group.devices()[device_index],
-                    &pinned,
-                    sys_count,
-                    n,
-                    elem_bytes,
-                )
-                .map(|plan| ShardPlan {
-                    device_index,
-                    sys_start,
-                    sys_count,
-                    plan,
-                })
-                .map_err(|e| match e {
-                    SimError::InvalidPlan(msg) => SimError::InvalidPlan(format!(
-                        "shard {device_index} (systems [{sys_start}, {})): {msg}",
-                        sys_start + sys_count
-                    )),
-                    other => other,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedPlan {
-            m,
-            n,
-            elem_bytes,
-            precision: reference.precision,
-            reference,
-            shards,
-        })
-    }
-
-    /// Number of devices (= shards).
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total device bytes summed over every shard's buffer table.
-    pub fn device_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.plan.device_bytes()).sum()
-    }
-
-    /// Multi-line human description: the partition, the pinned global
-    /// decisions, and each shard's device/geometry/footprint.
-    pub fn describe(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "sharded plan: m={} n={} {} across {} device(s)",
-            self.m,
-            self.n,
-            self.precision,
-            self.shards.len()
-        );
-        let _ = writeln!(
-            s,
-            "  reference: k={} mapping={:?} fused={} (decided on {} for the full batch)",
-            self.reference.k, self.reference.mapping, self.reference.fused, self.reference.device
-        );
-        for sh in &self.shards {
-            let _ = writeln!(
-                s,
-                "  shard {}: {} systems [{}, {}) k={} kernels={} device_bytes={}",
-                sh.device_index,
-                sh.plan.device,
-                sh.sys_start,
-                sh.sys_start + sh.sys_count,
-                sh.plan.k,
-                sh.plan
-                    .launches()
-                    .map(|l| l.name)
-                    .collect::<Vec<_>>()
-                    .join(" -> "),
-                sh.plan.device_bytes()
-            );
-        }
-        s
-    }
-
-    /// Serialize as a JSON object (schema `tridiag.sharded_plan/v2`);
-    /// [`validate_sharded_plan_json`] checks the shape.
-    pub fn to_json(&self) -> Json {
-        let shards = self
-            .shards
-            .iter()
-            .map(|sh| {
-                Json::Obj(vec![
-                    ("device".into(), Json::str(sh.plan.device)),
-                    ("device_index".into(), Json::num(sh.device_index as f64)),
-                    ("sys_start".into(), Json::num(sh.sys_start as f64)),
-                    ("sys_count".into(), Json::num(sh.sys_count as f64)),
-                    ("k".into(), Json::num(sh.plan.k)),
-                    ("plan".into(), sh.plan.to_json()),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::str(SHARDED_PLAN_SCHEMA)),
-            ("m".into(), Json::num(self.m as f64)),
-            ("n".into(), Json::num(self.n as f64)),
-            ("elem_bytes".into(), Json::num(self.elem_bytes as f64)),
-            ("precision".into(), Json::str(self.precision)),
-            ("devices".into(), Json::num(self.shards.len() as f64)),
-            ("k".into(), Json::num(self.reference.k)),
-            (
-                "mapping".into(),
-                Json::str(format!("{:?}", self.reference.mapping)),
-            ),
-            ("fused".into(), Json::Bool(self.reference.fused)),
-            (
-                "layout".into(),
-                Json::str(format!("{:?}", self.reference.layout)),
-            ),
-            (
-                "cost_model".into(),
-                Json::str(format!("{:?}", self.reference.config.cost)),
-            ),
-            ("device_bytes".into(), Json::num(self.device_bytes() as f64)),
-            ("reference".into(), self.reference.to_json()),
-            ("shards".into(), Json::Arr(shards)),
-        ])
-    }
-}
-
-/// Schema identifier emitted by [`ShardedPlan::to_json`]. `v2` added
-/// the pinned `layout` and `cost_model` dimensions; `v1` documents
-/// are rejected outright.
-pub const SHARDED_PLAN_SCHEMA: &str = "tridiag.sharded_plan/v2";
-
-/// Validate a parsed sharded-plan document against the
-/// `tridiag.sharded_plan/v2` schema: field shapes, the embedded
-/// reference and per-shard plans (via [`validate_plan_json`]), and the
-/// partition invariants (contiguous full coverage, balance within 1).
-/// Returns every problem found (empty = valid).
-pub fn validate_sharded_plan_json(doc: &Json) -> Vec<String> {
-    let mut c = Check::new(doc);
-    c.schema(SHARDED_PLAN_SCHEMA);
-    c.req_strs(&["precision", "mapping"]);
-    c.str_enum("layout", &["Contiguous", "Interleaved"]);
-    c.str_enum("cost_model", COST_MODELS);
-    c.req_uints(&["m", "n", "elem_bytes", "devices", "k", "device_bytes"]);
-    c.req_bool("fused");
-    if let Some(reference) = c.req_obj("reference") {
-        c.absorb_with("reference: ", validate_plan_json(reference));
-    }
-    let m = doc.get("m").and_then(Json::as_num).unwrap_or(0.0) as usize;
-    let declared = doc.get("devices").and_then(Json::as_num).unwrap_or(0.0) as usize;
-    match doc.get("shards").and_then(Json::as_arr) {
-        Some(shards) if !shards.is_empty() => {
-            c.ensure(
-                shards.len() == declared,
-                format!(
-                    "\"devices\" is {declared} but {} shards are listed",
-                    shards.len()
-                ),
-            );
-            let mut cursor = 0usize;
-            let mut min_count = usize::MAX;
-            let mut max_count = 0usize;
-            for (i, sh) in shards.iter().enumerate() {
-                let mut shc = c.child(sh, format!("shards[{i}] "));
-                shc.req_str("device");
-                let num = |key: &str| sh.get(key).and_then(Json::as_num);
-                match (num("device_index"), num("sys_start"), num("sys_count")) {
-                    (Some(di), Some(start), Some(count))
-                        if di.fract() == 0.0 && start.fract() == 0.0 && count.fract() == 0.0 =>
-                    {
-                        shc.ensure(di as usize == i, format!("has device_index {di}"));
-                        shc.ensure(
-                            start as usize == cursor,
-                            format!(
-                                "starts at {start}, expected {cursor} \
-                                 (shards must tile the batch contiguously)"
-                            ),
-                        );
-                        shc.ensure(count >= 1.0, "owns no systems");
-                        cursor = start as usize + count as usize;
-                        min_count = min_count.min(count as usize);
-                        max_count = max_count.max(count as usize);
-                    }
-                    _ => shc.problem("missing integer device_index/sys_start/sys_count"),
-                }
-                match sh.get("plan") {
-                    Some(plan) => {
-                        shc.absorb_with("plan: ", validate_plan_json(plan));
-                        // The embedded plan must solve exactly the
-                        // systems the shard owns, on the same geometry.
-                        let plan_num = |key: &str| plan.get(key).and_then(Json::as_num);
-                        if let (Some(pm), Some(count)) =
-                            (plan_num("m"), sh.get("sys_count").and_then(Json::as_num))
-                        {
-                            shc.ensure(
-                                pm == count,
-                                format!(
-                                    "plan solves m = {pm} but the shard owns \
-                                     {count} system(s)"
-                                ),
-                            );
-                        }
-                        for key in ["n", "elem_bytes"] {
-                            if let (Some(pv), Some(tv)) =
-                                (plan_num(key), doc.get(key).and_then(Json::as_num))
-                            {
-                                shc.ensure(
-                                    pv == tv,
-                                    format!(
-                                        "plan has {key} = {pv} but the batch \
-                                         has {key} = {tv}"
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    None => shc.problem("missing object field \"plan\""),
-                }
-                c.absorb(shc);
-            }
-            c.ensure(
-                cursor == m,
-                format!("shards cover [0, {cursor}) but the batch has m = {m} systems"),
-            );
-            c.ensure(
-                max_count == 0 || max_count - min_count <= 1,
-                format!(
-                    "shard sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"
-                ),
-            );
-        }
-        Some(_) => c.problem("\"shards\" is empty"),
-        None => c.problem("missing array field \"shards\""),
-    }
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::LayoutChoice;
 
     fn gtx480_plan(m: usize, n: usize, bytes: usize) -> SolvePlan {
         SolvePlan::build(
@@ -1486,19 +1116,6 @@ mod tests {
             problems.iter().any(|p| p.contains("host_layout")),
             "{problems:?}"
         );
-
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        let mut doc = sp.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "layout" && k != "cost_model");
-            for (k, v) in fields.iter_mut() {
-                if k == "schema" {
-                    *v = Json::str("tridiag.sharded_plan/v1");
-                }
-            }
-        }
-        assert!(!validate_sharded_plan_json(&doc).is_empty());
     }
 
     #[test]
@@ -1621,27 +1238,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_plan_pins_reference_layout() {
-        // Under the transaction model the full batch at m = 1024 picks
-        // interleaved p-Thomas; a 4-way shard (m = 256) on its own
-        // would pick the hybrid — pinning must keep every shard on the
-        // reference layout.
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 4).unwrap();
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
-        let sp = ShardedPlan::build(&group, &cfg, 1024, 512, 8).unwrap();
-        assert_eq!(sp.reference.layout, Layout::Interleaved);
-        let solo = SolvePlan::build(&DeviceSpec::gtx480(), &cfg, 256, 512, 8).unwrap();
-        assert_ne!(solo.layout, sp.reference.layout);
-        for sh in &sp.shards {
-            assert_eq!(sh.plan.layout, sp.reference.layout);
-            assert_eq!(sh.plan.k, sp.reference.k);
-        }
-    }
-
-    #[test]
     fn json_validator_rejects_bad_layout_and_source() {
         let plan = gtx480_plan(64, 512, 8);
         // Unknown device layout string.
@@ -1739,148 +1335,5 @@ mod tests {
             problems.iter().any(|p| p.contains("unknown op")),
             "{problems:?}"
         );
-    }
-
-    #[test]
-    fn sharded_json_validator_rejects_shard_geometry_drift() {
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        // A shard whose embedded plan solves more systems than it owns.
-        let mut doc = sp.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "shards" {
-                    if let Json::Arr(shards) = v {
-                        if let Json::Obj(sh) = &mut shards[0] {
-                            for (sk, sv) in sh.iter_mut() {
-                                if sk == "plan" {
-                                    if let Json::Obj(pf) = sv {
-                                        for (pk, pv) in pf.iter_mut() {
-                                            if pk == "m" {
-                                                *pv = Json::num(64.0);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let problems = validate_sharded_plan_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("but the shard owns")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn partition_covers_balanced_contiguously() {
-        for (m, d) in [(10usize, 3usize), (8, 4), (7, 2), (5, 5), (64, 4)] {
-            let shards = partition_systems(m, d).unwrap();
-            assert_eq!(shards.len(), d);
-            let mut cursor = 0;
-            for &(start, count) in &shards {
-                assert_eq!(start, cursor, "m={m} d={d}");
-                assert!(count >= 1);
-                cursor += count;
-            }
-            assert_eq!(cursor, m, "m={m} d={d}");
-            let min = shards.iter().map(|s| s.1).min().unwrap();
-            let max = shards.iter().map(|s| s.1).max().unwrap();
-            assert!(max - min <= 1, "m={m} d={d}: skew {min}..{max}");
-        }
-    }
-
-    #[test]
-    fn partition_degenerate_cases_are_typed_errors() {
-        for (m, d) in [(0usize, 2usize), (4, 0), (3, 4), (0, 0)] {
-            let err = partition_systems(m, d).unwrap_err();
-            assert!(matches!(err, SimError::InvalidPlan(_)), "m={m} d={d}");
-        }
-        assert_eq!(partition_systems(5, 1).unwrap(), vec![(0, 5)]);
-    }
-
-    #[test]
-    fn single_device_sharded_plan_is_the_identity() {
-        let group = DeviceGroup::single(DeviceSpec::gtx480());
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        assert_eq!(sp.shards.len(), 1);
-        assert_eq!(sp.shards[0].plan, sp.reference);
-        assert_eq!(sp.shards[0].sys_count, 64);
-    }
-
-    #[test]
-    fn sharded_plan_pins_reference_decisions() {
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 4).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        // Unsharded m=16 would choose a different pipeline (k=7,
-        // BlockGroupPerSystem); pinning keeps every shard on the
-        // reference decision so outputs stay bit-identical.
-        let solo = gtx480_plan(16, 512, 8);
-        assert_ne!((solo.k, solo.mapping), (sp.reference.k, sp.reference.mapping));
-        for sh in &sp.shards {
-            assert_eq!(sh.plan.k, sp.reference.k);
-            assert_eq!(sh.plan.mapping, sp.reference.mapping);
-            assert_eq!(sh.plan.fused, sp.reference.fused);
-            assert_eq!(sh.sys_count, 16);
-        }
-    }
-
-    #[test]
-    fn heterogeneous_shard_reclamps_k_to_its_device() {
-        // GTX280 has 16 KiB shared per block vs the GTX480's 48 KiB, so
-        // the pinned reference k must clamp down on that shard.
-        let group =
-            DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 16, 1024, 8).unwrap();
-        assert_eq!(sp.shards[0].plan.k, sp.reference.k);
-        assert!(
-            sp.shards[1].plan.k <= sp.reference.k,
-            "gtx280 shard k {} exceeds reference {}",
-            sp.shards[1].plan.k,
-            sp.reference.k
-        );
-    }
-
-    #[test]
-    fn sharded_plan_json_round_trips_and_validates() {
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        let text = sp.to_json().to_string();
-        let doc = gpu_sim::json::parse(&text).unwrap();
-        let problems = validate_sharded_plan_json(&doc);
-        assert!(problems.is_empty(), "{problems:?}");
-    }
-
-    #[test]
-    fn sharded_json_validator_rejects_drift() {
-        let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-        let mut doc = sp.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "shards");
-        }
-        assert!(!validate_sharded_plan_json(&doc).is_empty());
-
-        // Break the partition: first shard shifted off zero.
-        let mut doc = sp.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "shards" {
-                    if let Json::Arr(shards) = v {
-                        if let Json::Obj(sh) = &mut shards[0] {
-                            for (sk, sv) in sh.iter_mut() {
-                                if sk == "sys_start" {
-                                    *sv = Json::num(1.0);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert!(!validate_sharded_plan_json(&doc).is_empty());
     }
 }

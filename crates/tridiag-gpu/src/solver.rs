@@ -20,6 +20,7 @@
 
 use crate::buffers::GpuScalar;
 use crate::consts::PTHOMAS_BLOCK;
+use crate::distributed::{DistributedExecutor, DistributedPlan, Split};
 use crate::executor::PlanExecutor;
 use crate::plan::SolvePlan;
 use gpu_sim::timing::TrafficSummary;
@@ -79,8 +80,7 @@ pub enum LayoutChoice {
 
 impl LayoutChoice {
     /// The pin for an already-decided device layout (used by
-    /// [`crate::plan::ShardedPlan::build`] and the service's
-    /// per-geometry decision pinning).
+    /// [`crate::distributed::Pinned::config`]).
     pub fn pin(layout: tridiag_core::Layout) -> Self {
         match layout {
             tridiag_core::Layout::Contiguous => LayoutChoice::Contiguous,
@@ -141,11 +141,11 @@ pub struct KernelReport {
     pub blocks: usize,
 }
 
-/// One device's contribution to a sharded solve (see
+/// One device's contribution to a multi-device solve (see
 /// [`GpuSolveReport::shards`]). Counter fields hold the exact dynamic
-/// totals summed over the shard's kernels — the partition-invariant
-/// quantities the differential suite checks against the single-device
-/// run.
+/// totals summed over the part's kernels — for a sharded batch, the
+/// partition-invariant quantities the differential suite checks
+/// against the single-device run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSummary {
     /// Device name the shard ran on.
@@ -173,7 +173,7 @@ pub struct ShardSummary {
     pub global_bytes: u64,
 }
 
-/// Cross-device accounting for a distributed single-system solve (see
+/// Cross-device accounting for a row-split single-system solve (see
 /// [`crate::distributed`]): the reduced interface system, the
 /// back-substitution, and the PCIe interface exchanges — everything the
 /// per-chunk [`ShardSummary`] entries do *not* cover.
@@ -238,9 +238,8 @@ pub struct GpuSolveReport {
     pub phase_sum_mismatches: Vec<String>,
     /// Static plan verification (dataflow, layout pairing, liveness
     /// peak memory) the executor ran before launching anything. Always
-    /// clean here — a plan with findings never executes. For sharded
-    /// runs this is the reference plan's certificate on the primary
-    /// device.
+    /// clean here — a plan with findings never executes. For a
+    /// multi-device run this is the certificate of [`Self::plan`].
     pub verify: crate::verify::VerifyReport,
     /// Discrepancies between the verifier's [`crate::verify::PlanPrediction`]
     /// and the stats the run actually measured (empty = exact
@@ -253,7 +252,9 @@ pub struct GpuSolveReport {
     /// [`gpu_sim::trace::Trace::to_chrome_json`].
     pub trace: Trace,
     /// The declarative plan the solve executed — the full step
-    /// sequence with launch geometry and buffer bindings.
+    /// sequence with launch geometry and buffer bindings. For a
+    /// multi-device run, the primary's plan: shard 0's, or the reduced
+    /// interface plan of a row split.
     pub plan: SolvePlan,
     /// Per-device summaries when the solve ran sharded across a
     /// [`gpu_sim::DeviceGroup`] (empty for a single-device solve). For
@@ -261,8 +262,8 @@ pub struct GpuSolveReport {
     /// `kernel_us` — devices run concurrently — and `kernels` holds
     /// every shard's launches in shard order.
     pub shards: Vec<ShardSummary>,
-    /// Cross-device accounting when the solve split one system across
-    /// a group (see [`crate::distributed::DistributedExecutor`]);
+    /// Cross-device accounting when the solve split one system's rows
+    /// across a group (see [`crate::distributed::DistributedExecutor`]);
     /// `None` for single-device and sharded solves. When set, `shards`
     /// holds the per-chunk summaries (`sys_start`/`sys_count` are
     /// *rows*, not systems).
@@ -562,8 +563,8 @@ impl GpuTridiagSolver {
         executor.run(&plan, batch)
     }
 
-    /// Plan (but do not execute) a solve sharded across `group` — the
-    /// dry-run entry point behind `plan --devices` and
+    /// Plan (but do not execute) a solve of `m` systems sharded across
+    /// `group` — the dry-run entry point behind `plan --devices` and
     /// `solve --devices --dry-run`. The group's devices are
     /// authoritative; the solver's own spec is ignored.
     pub fn plan_geometry_group(
@@ -572,16 +573,14 @@ impl GpuTridiagSolver {
         m: usize,
         n: usize,
         elem_bytes: usize,
-    ) -> Result<crate::plan::ShardedPlan> {
-        crate::plan::ShardedPlan::build(group, &self.config, m, n, elem_bytes)
+    ) -> Result<DistributedPlan> {
+        DistributedPlan::build(group, &self.config, Split::Systems, m, n, elem_bytes)
     }
 
-    /// Solve `batch` sharded across `group`: build the sharded plan,
-    /// then run one executor per device on real threads and merge the
-    /// per-shard artifacts (see [`crate::sharded::ShardedExecutor`]).
-    /// On a homogeneous group the solutions are bit-identical to
-    /// [`Self::solve_batch`]; a single-device group *is* the
-    /// single-device path.
+    /// Solve `batch` sharded across `group` (see
+    /// [`DistributedExecutor`]). On a homogeneous group the solutions
+    /// are bit-identical to [`Self::solve_batch`]; a single-device
+    /// group *is* the single-device path.
     pub fn solve_batch_group<S: GpuScalar>(
         &self,
         group: &gpu_sim::DeviceGroup,
@@ -593,29 +592,28 @@ impl GpuTridiagSolver {
             batch.system_len(),
             <S as gpu_sim::Elem>::BYTES,
         )?;
-        crate::sharded::ShardedExecutor::new(group.clone(), self.config.exec).run(&plan, batch)
+        DistributedExecutor::new(group.clone(), self.config.exec).run(&plan, batch)
     }
 
-    /// Plan (but do not execute) a distributed solve of one `n`-row
-    /// system split across `group` — the dry-run entry point behind
-    /// `plan --split-n` and `solve --split-n --dry-run`. The group's
-    /// devices are authoritative; the solver's own spec is ignored.
+    /// Plan (but do not execute) one `n`-row system split by rows
+    /// across `group` — the dry-run entry point behind `plan --split-n`
+    /// and `solve --split-n --dry-run`. The group's devices are
+    /// authoritative; the solver's own spec is ignored.
     pub fn plan_geometry_split(
         &self,
         group: &gpu_sim::DeviceGroup,
         n: usize,
         elem_bytes: usize,
-    ) -> Result<crate::distributed::DistributedPlan> {
-        crate::distributed::DistributedPlan::build(group, &self.config, n, elem_bytes)
+    ) -> Result<DistributedPlan> {
+        DistributedPlan::build(group, &self.config, Split::Rows, 1, n, elem_bytes)
     }
 
     /// Solve one system split by rows across `group`: per-device
     /// partial elimination, the reduced interface solve on the primary,
-    /// distributed back substitution (see
-    /// [`crate::distributed::DistributedExecutor`]). `batch` must hold
-    /// exactly one system. A single-device group *is* the single-device
-    /// path, bit for bit; `D >= 2` matches it to a condition-derived
-    /// tolerance (DESIGN.md §15).
+    /// distributed back substitution (see [`DistributedExecutor`]).
+    /// `batch` must hold exactly one system. A single-device group *is*
+    /// the single-device path, bit for bit; `D >= 2` matches it to a
+    /// condition-derived tolerance (DESIGN.md §10).
     pub fn solve_batch_split<S: GpuScalar + Send + Sync>(
         &self,
         group: &gpu_sim::DeviceGroup,
@@ -626,8 +624,7 @@ impl GpuTridiagSolver {
             batch.system_len(),
             <S as gpu_sim::Elem>::BYTES,
         )?;
-        crate::distributed::DistributedExecutor::new(group.clone(), self.config.exec)
-            .run(&plan, batch)
+        DistributedExecutor::new(group.clone(), self.config.exec).run(&plan, batch)
     }
 }
 

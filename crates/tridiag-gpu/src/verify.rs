@@ -35,14 +35,14 @@
 //! step, peak resident bytes, launch counts per kernel — that
 //! [`crate::executor::PlanExecutor`] cross-checks **exactly** against
 //! the stats of the real run (mirroring the access-plan lint's
-//! "predicted == measured" discipline). [`verify_sharded_plan`] extends
-//! all of this across devices: every shard is verified against *its*
-//! device, plus the cross-device invariants (contiguous disjoint
-//! partition coverage, balance, pinned `k`/mapping/fused consistency
-//! on same-model devices).
+//! "predicted == measured" discipline). [`verify_distributed_plan`]
+//! extends all of this across devices: every part's plan is verified
+//! against *its* device, plus the cross-device invariants (contiguous
+//! disjoint balanced partition, part geometry, pinned decisions for a
+//! systems split, interface and reduced-system checks for a row split).
 
-use crate::distributed::DistributedPlan;
-use crate::plan::{ShardedPlan, Slot, SolvePlan, Step};
+use crate::distributed::{DistributedPlan, Split};
+use crate::plan::{Slot, SolvePlan, Step};
 use gpu_sim::{DeviceGroup, DeviceSpec, Json};
 use std::fmt;
 
@@ -121,38 +121,30 @@ impl fmt::Display for FindingKind {
 }
 
 /// One verifier diagnostic, attributed to the step (and, under
-/// [`verify_sharded_plan`], the shard) that caused it.
+/// [`verify_distributed_plan`], the part) that caused it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanFinding {
     /// Diagnostic class.
     pub kind: FindingKind,
     /// Step index in the plan's step sequence, when attributable.
     pub step: Option<usize>,
-    /// Shard index, when the finding belongs to one shard of a
-    /// [`ShardedPlan`].
-    pub shard: Option<usize>,
-    /// Chunk index, when the finding belongs to one chunk of a
-    /// [`crate::distributed::DistributedPlan`].
-    pub chunk: Option<usize>,
+    /// Part (shard or chunk) index, when the finding belongs to one
+    /// part of a [`DistributedPlan`].
+    pub part: Option<usize>,
     /// Human-readable detail.
     pub message: String,
 }
 
 impl fmt::Display for PlanFinding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let scope = match (self.shard, self.chunk) {
-            (Some(sh), _) => Some(format!("shard {sh}")),
-            (None, Some(ch)) => Some(format!("chunk {ch}")),
-            (None, None) => None,
-        };
-        match (scope, self.step) {
-            (Some(sc), Some(st)) => {
-                write!(f, "{sc}, step {st}: {}: {}", self.kind, self.message)
-            }
-            (Some(sc), None) => write!(f, "{sc}: {}: {}", self.kind, self.message),
-            (None, Some(st)) => write!(f, "step {st}: {}: {}", self.kind, self.message),
-            (None, None) => write!(f, "{}: {}", self.kind, self.message),
+        if let Some(part) = self.part {
+            write!(f, "part {part}")?;
+            f.write_str(if self.step.is_some() { ", " } else { ": " })?;
         }
+        if let Some(step) = self.step {
+            write!(f, "step {step}: ")?;
+        }
+        write!(f, "{}: {}", self.kind, self.message)
     }
 }
 
@@ -356,8 +348,7 @@ fn finding_json(f: &PlanFinding) -> Json {
     Json::Obj(vec![
         ("kind".into(), Json::str(f.kind.label())),
         ("step".into(), opt_num(f.step)),
-        ("shard".into(), opt_num(f.shard)),
-        ("chunk".into(), opt_num(f.chunk)),
+        ("part".into(), opt_num(f.part)),
         ("message".into(), Json::str(f.message.clone())),
     ])
 }
@@ -379,68 +370,6 @@ impl fmt::Display for VerifyReport {
             write!(f, "verify {}: {} finding(s)", self.device, self.findings.len())?;
             for finding in &self.findings {
                 write!(f, "\n  {finding}")?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Result of verifying a [`ShardedPlan`]: the cross-device findings
-/// plus one [`VerifyReport`] per shard (against that shard's device).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedVerifyReport {
-    /// Cross-device findings (partition/consistency), shard-attributed
-    /// where possible.
-    pub findings: Vec<PlanFinding>,
-    /// Per-shard verification, in device order.
-    pub shards: Vec<VerifyReport>,
-}
-
-impl ShardedVerifyReport {
-    /// `true` when there are no cross-device findings and every shard
-    /// is clean.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.shards.iter().all(VerifyReport::is_clean)
-    }
-
-    /// Every finding as a display string, shard-prefixed.
-    pub fn messages(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.findings.iter().map(|f| f.to_string()).collect();
-        for (i, sh) in self.shards.iter().enumerate() {
-            out.extend(sh.findings.iter().map(|f| format!("shard {i}: {f}")));
-        }
-        out
-    }
-
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("clean".into(), Json::Bool(self.is_clean())),
-            (
-                "findings".into(),
-                Json::Arr(self.findings.iter().map(finding_json).collect()),
-            ),
-            (
-                "shards".into(),
-                Json::Arr(self.shards.iter().map(VerifyReport::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl fmt::Display for ShardedVerifyReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_clean() {
-            write!(f, "verify sharded: clean across {} shard(s)", self.shards.len())?;
-            for sh in &self.shards {
-                write!(f, "\n  {sh}")?;
-            }
-            Ok(())
-        } else {
-            let msgs = self.messages();
-            write!(f, "verify sharded: {} finding(s)", msgs.len())?;
-            for m in &msgs {
-                write!(f, "\n  {m}")?;
             }
             Ok(())
         }
@@ -540,8 +469,7 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
         findings.push(PlanFinding {
             kind,
             step,
-            shard: None,
-            chunk: None,
+            part: None,
             message,
         });
     };
@@ -876,273 +804,282 @@ pub fn verify_plan(spec: &DeviceSpec, plan: &SolvePlan) -> VerifyReport {
     }
 }
 
-/// Statically verify a [`ShardedPlan`] against its [`DeviceGroup`]:
-/// every shard against its own device, plus the cross-device
-/// invariants — shards tile `[0, m)` contiguously, disjointly, and
-/// balanced (skew ≤ 1); geometry (`n`, scalar width) matches the
-/// batch; the pinned reference decisions hold (a shard on the same
-/// device model as the reference must keep `k`/mapping/fused exactly;
-/// any shard's `k` may only clamp *down* from the reference).
-pub fn verify_sharded_plan(group: &DeviceGroup, plan: &ShardedPlan) -> ShardedVerifyReport {
-    let mut findings: Vec<PlanFinding> = Vec::new();
-    let push = |findings: &mut Vec<PlanFinding>,
-                    kind: FindingKind,
-                    shard: Option<usize>,
-                    message: String| {
-        findings.push(PlanFinding {
+/// `(m, n, elem_bytes)` of an embedded plan.
+pub(crate) type Geometry = (usize, usize, usize);
+
+/// One part of a [`PlanShape`].
+pub(crate) struct PartShape {
+    pub device_index: usize,
+    pub start: usize,
+    pub count: usize,
+    pub plan: Option<Geometry>,
+}
+
+/// What a multi-device plan's structural invariants are stated over:
+/// the plan with every embedded plan reduced to its geometry. The
+/// verifier builds it from a [`DistributedPlan`], the JSON validator
+/// from the serialized document, and both hand it to
+/// [`structure_findings`] — so the two enforce one set of rules.
+pub(crate) struct PlanShape {
+    pub split: Split,
+    pub m: usize,
+    pub n: usize,
+    pub elem_bytes: usize,
+    /// Devices the plan is checked against (the group size, or the
+    /// document's declared count).
+    pub devices: usize,
+    /// Whether pinned reference decisions are recorded.
+    pub pinned: bool,
+    pub parts: Vec<PartShape>,
+    pub reduced: Option<Geometry>,
+}
+
+impl Split {
+    /// The `(partition, consistency)` finding kinds of this split.
+    fn finding_kinds(self) -> (FindingKind, FindingKind) {
+        match self {
+            Split::Systems => (FindingKind::ShardPartition, FindingKind::ShardConsistency),
+            Split::Rows => (FindingKind::ChunkPartition, FindingKind::ChunkConsistency),
+        }
+    }
+}
+
+/// The device-independent invariants of a multi-device plan: parts
+/// tile `[0, total)` contiguously, disjointly and balanced (skew ≤ 1),
+/// each at least [`Split::min_part`] units, one per device in device
+/// order; every part carries the plan its split requires, with the
+/// right geometry; pinned decisions are recorded exactly for a systems
+/// split; and a reduced interface plan of `2D` unknowns is present
+/// exactly for a row split across `D >= 2` devices.
+pub(crate) fn structure_findings(s: &PlanShape) -> Vec<PlanFinding> {
+    let (partition, consistency) = s.split.finding_kinds();
+    let (noun, unit) = (s.split.noun(), s.split.unit());
+    let (total, whole) = match s.split {
+        Split::Systems => (s.m, "batch"),
+        Split::Rows => (s.n, "system"),
+    };
+    let d = s.parts.len();
+    let mut out = Vec::new();
+    let mut push = |kind, part, message: String| {
+        out.push(PlanFinding {
             kind,
             step: None,
-            shard,
-            chunk: None,
+            part,
             message,
-        });
+        })
     };
-
-    if plan.shards.is_empty() {
-        push(
-            &mut findings,
-            FindingKind::ShardPartition,
-            None,
-            "sharded plan has no shards".into(),
-        );
+    if d == 0 {
+        push(partition, None, "plan has no parts".into());
     }
-    if plan.shards.len() != group.len() {
+    if d != s.devices {
         push(
-            &mut findings,
-            FindingKind::ShardConsistency,
+            consistency,
             None,
             format!(
-                "plan has {} shard(s) but the group has {} device(s)",
-                plan.shards.len(),
-                group.len()
+                "plan has {d} part(s) but the group has {} device(s)",
+                s.devices
             ),
         );
     }
-    if plan.reference.device != group.primary().name {
-        push(
-            &mut findings,
-            FindingKind::ShardConsistency,
+    match (s.split, s.pinned) {
+        (Split::Systems, false) => push(
+            consistency,
             None,
-            format!(
-                "reference plan was built for {} but the group's primary is {}",
-                plan.reference.device,
-                group.primary().name
-            ),
+            "a systems split must record its pinned reference decisions".into(),
+        ),
+        (Split::Rows, true) => push(
+            consistency,
+            None,
+            "a row split pins no reference decisions".into(),
+        ),
+        _ => {}
+    }
+    if s.split == Split::Rows && s.m != 1 {
+        push(
+            consistency,
+            None,
+            format!("a row split solves one system, not m = {}", s.m),
         );
     }
-
-    let mut cursor = 0usize;
-    let mut min_count = usize::MAX;
-    let mut max_count = 0usize;
-    let mut shards = Vec::with_capacity(plan.shards.len());
-    for (i, sh) in plan.shards.iter().enumerate() {
-        if sh.device_index != i {
+    let (mut cursor, mut min, mut max) = (0usize, usize::MAX, 0usize);
+    for (i, p) in s.parts.iter().enumerate() {
+        if p.device_index != i {
             push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!("device_index is {} (shards must be in device order)", sh.device_index),
-            );
-        }
-        if sh.sys_start != cursor {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
+                consistency,
                 Some(i),
                 format!(
-                    "starts at system {} but {} systems are covered so far \
-                     (shards must tile the batch contiguously and disjointly)",
-                    sh.sys_start, cursor
+                    "device_index is {} ({noun}s must be in device order)",
+                    p.device_index
                 ),
             );
         }
-        if sh.sys_count == 0 {
+        if p.start != cursor {
             push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                Some(i),
-                "owns no systems".into(),
-            );
-        }
-        cursor = sh.sys_start + sh.sys_count;
-        min_count = min_count.min(sh.sys_count);
-        max_count = max_count.max(sh.sys_count);
-
-        if sh.plan.m != sh.sys_count {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
+                partition,
                 Some(i),
                 format!(
-                    "shard plan solves m = {} but the shard owns {} system(s)",
-                    sh.plan.m, sh.sys_count
+                    "starts at {unit} {} but {cursor} {unit}s are covered so far \
+                     ({noun}s must tile the {whole} contiguously and disjointly)",
+                    p.start
                 ),
             );
         }
-        if sh.plan.n != plan.n {
+        if p.count < s.split.min_part() {
             push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!("shard plan has n = {} but the batch has n = {}", sh.plan.n, plan.n),
-            );
-        }
-        if sh.plan.elem_bytes != plan.elem_bytes {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
+                partition,
                 Some(i),
                 format!(
-                    "shard plan is {} bytes/elem but the batch is {}",
-                    sh.plan.elem_bytes, plan.elem_bytes
+                    "owns {} {unit}(s): a {noun} needs at least {}",
+                    p.count,
+                    s.split.min_part()
                 ),
             );
         }
-        if sh.plan.k > plan.reference.k {
-            push(
-                &mut findings,
-                FindingKind::ShardConsistency,
+        cursor = p.start + p.count;
+        min = min.min(p.count);
+        max = max.max(p.count);
+        // The `(m, n)` plan the part must carry: a shard solves its own
+        // systems, a one-device row split the whole system, and a chunk
+        // its interior rows (none for an interface-only chunk).
+        let expected = match s.split {
+            Split::Systems => Some((p.count, s.n)),
+            Split::Rows if d == 1 => Some((1, s.n)),
+            Split::Rows if p.count <= 2 => None,
+            Split::Rows => Some((1, p.count - 2)),
+        };
+        match (expected, p.plan) {
+            (Some(_), None) if s.split == Split::Rows => push(
+                FindingKind::InterfaceExchange,
                 Some(i),
                 format!(
-                    "shard k = {} exceeds the pinned reference k = {} \
-                     (per-device clamps may only lower k)",
-                    sh.plan.k, plan.reference.k
+                    "chunk has {} rows but no interior elimination plan: its \
+                     interface coefficients are used before being defined",
+                    p.count
                 ),
+            ),
+            (Some(_), None) => push(
+                consistency,
+                Some(i),
+                format!("{noun} owns {} {unit}(s) but carries no plan", p.count),
+            ),
+            (None, Some(_)) => push(
+                FindingKind::InterfaceExchange,
+                Some(i),
+                "chunk is interface-only (2 rows) but carries an interior plan".into(),
+            ),
+            (Some((em, en)), Some((pm, pn, peb))) => {
+                if pm != em {
+                    push(
+                        consistency,
+                        Some(i),
+                        format!("plan solves m = {pm} but the {noun} owns {em} system(s)"),
+                    );
+                }
+                if pn != en {
+                    push(
+                        consistency,
+                        Some(i),
+                        format!("plan has n = {pn} but the {noun} needs n = {en}"),
+                    );
+                }
+                if peb != s.elem_bytes {
+                    push(
+                        consistency,
+                        Some(i),
+                        format!(
+                            "plan is {peb} bytes/elem but the {whole} is {}",
+                            s.elem_bytes
+                        ),
+                    );
+                }
+            }
+            (None, None) => {}
+        }
+    }
+    if d > 0 {
+        if cursor != total {
+            push(
+                partition,
+                None,
+                format!("{noun}s cover [0, {cursor}) but the {whole} has {total} {unit}s"),
             );
         }
-
-        let spec = group
-            .devices()
-            .get(sh.device_index)
-            .unwrap_or_else(|| group.primary());
-        if group.devices().get(sh.device_index).is_none() {
+        if max - min > 1 {
             push(
-                &mut findings,
-                FindingKind::ShardConsistency,
-                Some(i),
-                format!(
-                    "device_index {} is out of range for a {}-device group",
-                    sh.device_index,
-                    group.len()
-                ),
+                partition,
+                None,
+                format!("{noun} sizes unbalanced: min {min}, max {max} (allowed skew 1)"),
             );
-        } else {
-            if sh.plan.device != spec.name {
+        }
+    }
+    let reduced = FindingKind::ReducedSystem;
+    match (s.split == Split::Rows && d > 1, s.reduced) {
+        (true, None) => push(
+            reduced,
+            None,
+            format!("a row split across {d} devices has no reduced interface plan"),
+        ),
+        (false, Some(_)) => push(
+            reduced,
+            None,
+            format!(
+                "a {} carries a reduced interface plan",
+                if s.split == Split::Systems {
+                    "systems split"
+                } else {
+                    "one-device row split"
+                }
+            ),
+        ),
+        (true, Some((rm, rn, reb))) => {
+            if rm != 1 {
                 push(
-                    &mut findings,
-                    FindingKind::ShardConsistency,
-                    Some(i),
+                    reduced,
+                    None,
+                    format!("reduced plan solves m = {rm}, not 1"),
+                );
+            }
+            if rn != 2 * d {
+                push(
+                    reduced,
+                    None,
                     format!(
-                        "shard plan was built for {} but device {} is {}",
-                        sh.plan.device, sh.device_index, spec.name
+                        "reduced plan solves n = {rn} but {d} chunk(s) need {} \
+                         interface unknowns",
+                        2 * d
                     ),
                 );
             }
-            if spec.name == plan.reference.device {
-                // Same device model as the reference: the pinned
-                // decisions must hold exactly (heterogeneous devices may
-                // legitimately re-clamp k down).
-                if sh.plan.k != plan.reference.k {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} has k = {} but the pinned reference k is {}",
-                            spec.name, sh.plan.k, plan.reference.k
-                        ),
-                    );
-                }
-                if sh.plan.mapping != plan.reference.mapping {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} resolved mapping {:?} but the pinned reference \
-                             mapping is {:?}",
-                            spec.name, sh.plan.mapping, plan.reference.mapping
-                        ),
-                    );
-                }
-                if sh.plan.fused != plan.reference.fused {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} has fused = {} but the pinned reference fused is {}",
-                            spec.name, sh.plan.fused, plan.reference.fused
-                        ),
-                    );
-                }
-                if sh.plan.layout != plan.reference.layout {
-                    push(
-                        &mut findings,
-                        FindingKind::ShardConsistency,
-                        Some(i),
-                        format!(
-                            "shard on {} uses layout {:?} but the pinned reference \
-                             layout is {:?}",
-                            spec.name, sh.plan.layout, plan.reference.layout
-                        ),
-                    );
-                }
+            if reb != s.elem_bytes {
+                push(
+                    reduced,
+                    None,
+                    format!(
+                        "reduced plan is {reb} bytes/elem but the system is {}",
+                        s.elem_bytes
+                    ),
+                );
             }
         }
-
-        // Per-shard static verification against the shard's own device
-        // (covers per-device peak memory among everything else).
-        let mut report = verify_plan(spec, &sh.plan);
-        for f in &mut report.findings {
-            f.shard = Some(i);
-        }
-        shards.push(report);
+        (false, None) => {}
     }
-
-    if !plan.shards.is_empty() {
-        if cursor != plan.m {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                None,
-                format!(
-                    "shards cover [0, {cursor}) but the batch has m = {} systems",
-                    plan.m
-                ),
-            );
-        }
-        if max_count > 0 && min_count != usize::MAX && max_count - min_count > 1 {
-            push(
-                &mut findings,
-                FindingKind::ShardPartition,
-                None,
-                format!(
-                    "shard sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"
-                ),
-            );
-        }
-    }
-
-    ShardedVerifyReport { findings, shards }
+    out
 }
 
 /// Result of verifying a [`DistributedPlan`]: the cross-device findings
-/// plus one [`VerifyReport`] per chunk's interior plan (`None` for a
-/// 2-row interface-only chunk), the reduced interface plan's report,
-/// and — on the `D == 1` path — the identity plan's report.
+/// plus one [`VerifyReport`] per part's plan (`None` for an
+/// interface-only chunk, or a part whose device index is out of range)
+/// and the reduced interface plan's report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedVerifyReport {
-    /// Cross-device findings (partition, consistency, interface
-    /// dataflow, reduced-system geometry), chunk-attributed where
-    /// possible.
+    /// How the verified plan divides the solve.
+    pub split: Split,
+    /// Cross-device findings, part-attributed where possible.
     pub findings: Vec<PlanFinding>,
-    /// Per-chunk interior verification, in device order.
-    pub chunks: Vec<Option<VerifyReport>>,
-    /// Reduced interface plan verification (`D > 1` only).
+    /// Per-part plan verification, in device order.
+    pub parts: Vec<Option<VerifyReport>>,
+    /// Reduced interface plan verification (row splits with `D >= 2`).
     pub reduced: Option<VerifyReport>,
-    /// Identity plan verification (`D == 1` only).
-    pub identity: Option<VerifyReport>,
 }
 
 impl DistributedVerifyReport {
@@ -1151,411 +1088,199 @@ impl DistributedVerifyReport {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
             && self
-                .chunks
+                .parts
                 .iter()
                 .flatten()
+                .chain(&self.reduced)
                 .all(VerifyReport::is_clean)
-            && self.reduced.as_ref().is_none_or(VerifyReport::is_clean)
-            && self.identity.as_ref().is_none_or(VerifyReport::is_clean)
     }
 
-    /// Every finding as a display string, chunk-prefixed.
+    /// Every finding as a display string; part findings carry their
+    /// part index, reduced-plan findings a `reduced: ` prefix.
     pub fn messages(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.findings.iter().map(|f| f.to_string()).collect();
-        for (i, ch) in self.chunks.iter().enumerate() {
-            if let Some(r) = ch {
-                out.extend(r.findings.iter().map(|f| format!("chunk {i}: {f}")));
-            }
-        }
-        if let Some(r) = &self.reduced {
-            out.extend(r.findings.iter().map(|f| format!("reduced: {f}")));
-        }
-        if let Some(r) = &self.identity {
-            out.extend(r.findings.iter().map(|f| format!("identity: {f}")));
-        }
-        out
+        let parts = self.parts.iter().flatten().flat_map(|r| &r.findings);
+        let reduced = self.reduced.iter().flat_map(|r| &r.findings);
+        self.findings
+            .iter()
+            .chain(parts)
+            .map(|f| f.to_string())
+            .chain(reduced.map(|f| format!("reduced: {f}")))
+            .collect()
     }
 
     /// Serialize as a JSON object.
     pub fn to_json(&self) -> Json {
-        let opt = |r: &Option<VerifyReport>| r.as_ref().map_or(Json::Null, VerifyReport::to_json);
+        let opt = |r: Option<&VerifyReport>| r.map_or(Json::Null, VerifyReport::to_json);
         Json::Obj(vec![
             ("clean".into(), Json::Bool(self.is_clean())),
+            ("split".into(), Json::str(self.split.label())),
             (
                 "findings".into(),
                 Json::Arr(self.findings.iter().map(finding_json).collect()),
             ),
             (
-                "chunks".into(),
-                Json::Arr(self.chunks.iter().map(opt).collect()),
+                "parts".into(),
+                Json::Arr(self.parts.iter().map(|r| opt(r.as_ref())).collect()),
             ),
-            ("reduced".into(), opt(&self.reduced)),
-            ("identity".into(), opt(&self.identity)),
+            ("reduced".into(), opt(self.reduced.as_ref())),
         ])
     }
 }
 
 impl fmt::Display for DistributedVerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_clean() {
-            if let Some(id) = &self.identity {
-                return write!(f, "verify distributed: clean (identity path)\n  {id}");
-            }
-            write!(
-                f,
-                "verify distributed: clean across {} chunk(s)",
-                self.chunks.len()
-            )?;
-            for ch in self.chunks.iter().flatten() {
-                write!(f, "\n  {ch}")?;
-            }
-            if let Some(r) = &self.reduced {
-                write!(f, "\n  reduced: {r}")?;
-            }
-            Ok(())
-        } else {
+        let label = self.split.label();
+        if !self.is_clean() {
             let msgs = self.messages();
-            write!(f, "verify distributed: {} finding(s)", msgs.len())?;
+            write!(f, "verify {label} split: {} finding(s)", msgs.len())?;
             for m in &msgs {
                 write!(f, "\n  {m}")?;
             }
-            Ok(())
+            return Ok(());
         }
+        write!(
+            f,
+            "verify {label} split: clean across {} {}(s)",
+            self.parts.len(),
+            self.split.noun()
+        )?;
+        for r in self.parts.iter().flatten() {
+            write!(f, "\n  {r}")?;
+        }
+        if let Some(r) = &self.reduced {
+            write!(f, "\n  reduced: {r}")?;
+        }
+        Ok(())
     }
 }
 
 /// Statically verify a [`DistributedPlan`] against its [`DeviceGroup`]:
-/// every chunk's interior plan against its own device, the reduced
-/// interface plan against the primary, plus the cross-device
-/// invariants — chunks tile `[0, n)` contiguously, disjointly, balanced
-/// (skew ≤ 1), each at least 2 rows; the interface dataflow is sound
-/// (a chunk with interior rows *must* carry an interior elimination
-/// plan, else its interface coefficients are used before being
-/// defined); the reduced system has exactly `2D` unknowns on the
-/// primary device. On the `D == 1` path the identity plan is verified
-/// and the chunk/reduced invariants are vacuous.
+/// the device-independent invariants the JSON validator also enforces
+/// (partition tiling and balance, one part per device, each part's plan
+/// geometry, the split kind's pinned/reduced plans), every part's plan
+/// against its own device (with part attribution), the
+/// reduced interface plan against the primary, and — for a systems
+/// split — the pinned decisions: made on the primary; no part's `k`
+/// above the pinned `k`; a part on the same device model as the primary
+/// keeps `k`, mapping, fusion and layout exactly.
 pub fn verify_distributed_plan(
     group: &DeviceGroup,
     plan: &DistributedPlan,
 ) -> DistributedVerifyReport {
-    let mut findings: Vec<PlanFinding> = Vec::new();
-    let push = |findings: &mut Vec<PlanFinding>,
-                    kind: FindingKind,
-                    chunk: Option<usize>,
-                    message: String| {
+    let (_, consistency) = plan.split.finding_kinds();
+    let noun = plan.split.noun();
+    let mut findings = structure_findings(&plan.shape(group.len()));
+    let mut push = |part, message: String| {
         findings.push(PlanFinding {
-            kind,
+            kind: consistency,
             step: None,
-            shard: None,
-            chunk,
+            part,
             message,
-        });
+        })
     };
-
-    if let Some(identity) = &plan.identity {
-        // D == 1 short-circuit: the identity plan must be the plain
-        // single-device solve of the whole system, and the distributed
-        // machinery must be absent.
-        if !plan.chunks.is_empty() {
+    let primary = group.primary();
+    if let Some(pin) = &plan.pinned {
+        if pin.device != primary.name {
             push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
                 None,
                 format!(
-                    "identity plan present but {} chunk(s) are listed",
-                    plan.chunks.len()
+                    "pinned decisions were made on {} but the group's primary is {}",
+                    pin.device, primary.name
                 ),
             );
         }
-        if plan.reduced.is_some() {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                None,
-                "identity plan present but a reduced interface plan is listed".into(),
-            );
-        }
-        if identity.m != 1 || identity.n != plan.n {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                None,
-                format!(
-                    "identity plan solves {}x{} but the system is 1x{}",
-                    identity.m, identity.n, plan.n
-                ),
-            );
-        }
-        if identity.elem_bytes != plan.elem_bytes {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                None,
-                format!(
-                    "identity plan is {} bytes/elem but the system is {}",
-                    identity.elem_bytes, plan.elem_bytes
-                ),
-            );
-        }
-        return DistributedVerifyReport {
-            findings,
-            chunks: Vec::new(),
-            reduced: None,
-            identity: Some(verify_plan(group.primary(), identity)),
-        };
     }
-
-    if plan.chunks.is_empty() {
-        push(
-            &mut findings,
-            FindingKind::ChunkPartition,
-            None,
-            "distributed plan has no chunks and no identity plan".into(),
-        );
-    }
-    if plan.chunks.len() != group.len() {
-        push(
-            &mut findings,
-            FindingKind::ChunkConsistency,
-            None,
-            format!(
-                "plan has {} chunk(s) but the group has {} device(s)",
-                plan.chunks.len(),
-                group.len()
-            ),
-        );
-    }
-
-    let mut cursor = 0usize;
-    let mut min_count = usize::MAX;
-    let mut max_count = 0usize;
-    let mut chunks = Vec::with_capacity(plan.chunks.len());
-    for (i, ch) in plan.chunks.iter().enumerate() {
-        if ch.device_index != i {
+    let mut parts = Vec::with_capacity(plan.parts.len());
+    for (i, part) in plan.parts.iter().enumerate() {
+        let Some(spec) = group.devices().get(part.device_index) else {
             push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
-                Some(i),
-                format!(
-                    "device_index is {} (chunks must be in device order)",
-                    ch.device_index
-                ),
-            );
-        }
-        if ch.row_start != cursor {
-            push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                Some(i),
-                format!(
-                    "starts at row {} but {} rows are covered so far \
-                     (chunks must tile the system contiguously and disjointly)",
-                    ch.row_start, cursor
-                ),
-            );
-        }
-        if ch.row_count < 2 {
-            push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                Some(i),
-                format!(
-                    "owns {} row(s): a chunk needs its 2-row interface pair",
-                    ch.row_count
-                ),
-            );
-        }
-        cursor = ch.row_start + ch.row_count;
-        min_count = min_count.min(ch.row_count);
-        max_count = max_count.max(ch.row_count);
-
-        // Interface dataflow: the reduced system reads the chunk's
-        // modified interface coefficients, which only exist after the
-        // interior elimination ran. A chunk with interior rows but no
-        // interior plan would feed *unmodified* coefficients to the
-        // reduced solve — use before def, across devices.
-        match (&ch.interior, ch.row_count) {
-            (None, rc) if rc > 2 => push(
-                &mut findings,
-                FindingKind::InterfaceExchange,
-                Some(i),
-                format!(
-                    "chunk has {rc} rows but no interior elimination plan: its \
-                     interface coefficients are used before being defined"
-                ),
-            ),
-            (Some(_), 2) => push(
-                &mut findings,
-                FindingKind::InterfaceExchange,
-                Some(i),
-                "chunk is interface-only (2 rows) but carries an interior plan".into(),
-            ),
-            _ => {}
-        }
-
-        let spec = group
-            .devices()
-            .get(ch.device_index)
-            .unwrap_or_else(|| group.primary());
-        if group.devices().get(ch.device_index).is_none() {
-            push(
-                &mut findings,
-                FindingKind::ChunkConsistency,
                 Some(i),
                 format!(
                     "device_index {} is out of range for a {}-device group",
-                    ch.device_index,
+                    part.device_index,
                     group.len()
                 ),
             );
-        }
-        let chunk_report = match &ch.interior {
-            Some(ip) => {
-                if ip.m != 1 {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!("interior plan solves m = {}, not 1", ip.m),
-                    );
-                }
-                if ch.row_count >= 2 && ip.n != ch.row_count - 2 {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!(
-                            "interior plan has n = {} but the chunk has {} interior row(s)",
-                            ip.n,
-                            ch.row_count - 2
-                        ),
-                    );
-                }
-                if ip.elem_bytes != plan.elem_bytes {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!(
-                            "interior plan is {} bytes/elem but the system is {}",
-                            ip.elem_bytes, plan.elem_bytes
-                        ),
-                    );
-                }
-                if ip.device != spec.name {
-                    push(
-                        &mut findings,
-                        FindingKind::ChunkConsistency,
-                        Some(i),
-                        format!(
-                            "interior plan was built for {} but device {} is {}",
-                            ip.device, ch.device_index, spec.name
-                        ),
-                    );
-                }
-                // Per-chunk static verification against the chunk's own
-                // device (covers per-device peak memory among
-                // everything else).
-                let mut report = verify_plan(spec, ip);
-                for f in &mut report.findings {
-                    f.chunk = Some(i);
-                }
-                Some(report)
-            }
-            None => None,
+            parts.push(None);
+            continue;
         };
-        chunks.push(chunk_report);
-    }
-
-    if !plan.chunks.is_empty() {
-        if cursor != plan.n {
+        let Some(sub) = &part.plan else {
+            parts.push(None);
+            continue;
+        };
+        if sub.device != spec.name {
             push(
-                &mut findings,
-                FindingKind::ChunkPartition,
-                None,
+                Some(i),
                 format!(
-                    "chunks cover [0, {cursor}) but the system has n = {} rows",
-                    plan.n
+                    "{noun} plan was built for {} but device {} is {}",
+                    sub.device, part.device_index, spec.name
                 ),
             );
         }
-        if max_count > 0 && min_count != usize::MAX && max_count - min_count > 1 {
+        if let Some(pin) = &plan.pinned {
+            if sub.k > pin.k {
+                push(
+                    Some(i),
+                    format!(
+                        "{noun} k = {} exceeds the pinned k = {} (per-device clamps \
+                         may only lower k)",
+                        sub.k, pin.k
+                    ),
+                );
+            }
+            // Same device model as the primary: the pinned decisions
+            // hold exactly (another model may legitimately clamp k).
+            if spec.name == pin.device {
+                let drift = [
+                    ("k", sub.k.to_string(), pin.k.to_string()),
+                    (
+                        "mapping",
+                        format!("{:?}", sub.mapping),
+                        format!("{:?}", pin.mapping),
+                    ),
+                    ("fused", sub.fused.to_string(), pin.fused.to_string()),
+                    (
+                        "layout",
+                        format!("{:?}", sub.layout),
+                        format!("{:?}", pin.layout),
+                    ),
+                ];
+                for (what, got, pinned) in drift {
+                    if got != pinned {
+                        push(
+                            Some(i),
+                            format!(
+                                "{noun} on {} has {what} = {got} but the pinned {what} is {pinned}",
+                                spec.name
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+        let mut report = verify_plan(spec, sub);
+        for f in &mut report.findings {
+            f.part = Some(i);
+        }
+        parts.push(Some(report));
+    }
+    let reduced = plan.reduced.as_ref().map(|r| {
+        if r.device != primary.name {
             push(
-                &mut findings,
-                FindingKind::ChunkPartition,
                 None,
                 format!(
-                    "chunk sizes unbalanced: min {min_count}, max {max_count} (allowed skew 1)"
+                    "reduced plan was built for {} but the group's primary is {}",
+                    r.device, primary.name
                 ),
             );
         }
-    }
-
-    let reduced = match &plan.reduced {
-        Some(rp) => {
-            if rp.m != 1 {
-                push(
-                    &mut findings,
-                    FindingKind::ReducedSystem,
-                    None,
-                    format!("reduced plan solves m = {}, not 1", rp.m),
-                );
-            }
-            if rp.n != 2 * plan.chunks.len() {
-                push(
-                    &mut findings,
-                    FindingKind::ReducedSystem,
-                    None,
-                    format!(
-                        "reduced plan solves n = {} but {} chunk(s) need {} \
-                         interface unknowns",
-                        rp.n,
-                        plan.chunks.len(),
-                        2 * plan.chunks.len()
-                    ),
-                );
-            }
-            if rp.elem_bytes != plan.elem_bytes {
-                push(
-                    &mut findings,
-                    FindingKind::ReducedSystem,
-                    None,
-                    format!(
-                        "reduced plan is {} bytes/elem but the system is {}",
-                        rp.elem_bytes, plan.elem_bytes
-                    ),
-                );
-            }
-            if rp.device != group.primary().name {
-                push(
-                    &mut findings,
-                    FindingKind::ChunkConsistency,
-                    None,
-                    format!(
-                        "reduced plan was built for {} but the group's primary is {}",
-                        rp.device,
-                        group.primary().name
-                    ),
-                );
-            }
-            Some(verify_plan(group.primary(), rp))
-        }
-        None => {
-            push(
-                &mut findings,
-                FindingKind::ReducedSystem,
-                None,
-                "distributed plan has no reduced interface plan (and no identity plan)".into(),
-            );
-            None
-        }
-    };
-
+        verify_plan(primary, r)
+    });
     DistributedVerifyReport {
+        split: plan.split,
         findings,
-        chunks,
+        parts,
         reduced,
-        identity: None,
     }
 }
 
@@ -1644,26 +1369,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_plans_verify_clean() {
-        for d in [1usize, 2, 4] {
-            let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
-            let sp =
-                ShardedPlan::build(&group, &GpuSolverConfig::default(), 64, 512, 8).unwrap();
-            let report = verify_sharded_plan(&group, &sp);
-            assert!(report.is_clean(), "d={d}: {report}");
-            assert_eq!(report.shards.len(), d);
-        }
-    }
-
-    #[test]
-    fn heterogeneous_sharded_plan_verifies_clean() {
+    fn distributed_plans_verify_clean() {
         // The GTX280 shard legitimately re-clamps k down; the verifier
         // must accept that while still pinning same-model shards.
-        let group =
+        let hetero =
             DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
-        let sp = ShardedPlan::build(&group, &GpuSolverConfig::default(), 16, 1024, 8).unwrap();
-        let report = verify_sharded_plan(&group, &sp);
-        assert!(report.is_clean(), "{report}");
+        for d in [1usize, 2, 4] {
+            let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), d).unwrap();
+            for (group, split, m, n) in [
+                (&group, Split::Systems, 64usize, 512usize),
+                (&group, Split::Rows, 1, 512),
+                (&hetero, Split::Systems, 16, 1024),
+            ] {
+                let config = GpuSolverConfig::default();
+                let dp = DistributedPlan::build(group, &config, split, m, n, 8).unwrap();
+                let report = verify_distributed_plan(group, &dp);
+                assert!(report.is_clean(), "{split:?} d={d}: {report}");
+                assert_eq!(report.parts.len(), group.len());
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,29 @@
 //! Property tests of the row partitioner and the distributed planner.
 //!
-//! The contract under test: `partition_rows(n, d)` assigns every row of
+//! The contract under test: `Split::Rows.partition(n, d)` assigns every row of
 //! one system to exactly one contiguous chunk, chunk sizes are balanced
 //! within ±1 and never below 2 (each chunk owns two interface rows),
 //! the chunk → reduced-system index mapping is a monotone bijection,
 //! and the degenerate geometries (`d == 0`, `n == 0`, `n < 2d`) are
-//! typed `InvalidPlan` errors — never panics. On top of that,
-//! `DistributedPlan::build` must keep those invariants per chunk (an
-//! interior plan exactly when the chunk has interior rows), round-trip
-//! through its own schema checker, and pass the static verifier — for
-//! homogeneous and mixed-device groups alike.
+//! typed `InvalidPlan` errors — never panics. On top of that, a
+//! `Split::Rows` `DistributedPlan::build` must keep those invariants per
+//! chunk (an interior plan exactly when the chunk has interior rows),
+//! round-trip through its own schema checker, and pass the static
+//! verifier — for homogeneous and mixed-device groups alike. Finally,
+//! the schema checker enforces the split kind's own invariants.
 
 use gpu_sim::{DeviceGroup, DeviceSpec, SimError};
 use proptest::prelude::*;
 use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::{partition_rows, DistributedPlan};
+use tridiag_gpu::{validate_distributed_plan_json, DistributedPlan, Split};
+
+fn partition_rows(n: usize, d: usize) -> gpu_sim::Result<Vec<(usize, usize)>> {
+    Split::Rows.partition(n, d)
+}
+
+fn split_plan(group: &DeviceGroup, n: usize) -> gpu_sim::Result<DistributedPlan> {
+    DistributedPlan::build(group, &GpuSolverConfig::default(), Split::Rows, 1, n, 8)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -80,9 +89,10 @@ proptest! {
     fn single_device_split_is_identity(n in 2usize..8193) {
         prop_assert_eq!(partition_rows(n, 1).unwrap(), vec![(0, n)]);
         let group = DeviceGroup::single(DeviceSpec::gtx480());
-        let plan = DistributedPlan::build(&group, &GpuSolverConfig::default(), n, 8).unwrap();
-        prop_assert!(plan.identity.is_some(), "D = 1 must be the identity path");
-        prop_assert!(plan.chunks.is_empty());
+        let plan = split_plan(&group, n).unwrap();
+        let whole = plan.parts[0].plan.as_ref().map(|p| (p.m, p.n));
+        prop_assert!(whole == Some((1, n)), "D = 1 must be the identity path");
+        prop_assert!(plan.parts.len() == 1);
         prop_assert!(plan.reduced.is_none());
     }
 
@@ -123,27 +133,26 @@ proptest! {
         prop_assume!(n >= 2 * specs.len());
         let _ = seed; // plans are deterministic; seed only varies the case mix
         let group = DeviceGroup::from_specs(specs).unwrap();
-        let config = GpuSolverConfig::default();
-        let plan = DistributedPlan::build(&group, &config, n, 8).unwrap();
+        let plan = split_plan(&group, n).unwrap();
         if group.len() == 1 {
-            prop_assert!(plan.identity.is_some());
+            prop_assert!(plan.parts.len() == 1 && plan.reduced.is_none());
         } else {
-            prop_assert!(plan.identity.is_none());
-            prop_assert_eq!(plan.chunks.len(), group.len());
+            prop_assert!(plan.reduced.is_some());
+            prop_assert_eq!(plan.parts.len(), group.len());
             let mut cursor = 0usize;
-            for (i, chunk) in plan.chunks.iter().enumerate() {
+            for (i, chunk) in plan.parts.iter().enumerate() {
                 prop_assert_eq!(chunk.device_index, i);
-                prop_assert_eq!(chunk.row_start, cursor);
-                cursor += chunk.row_count;
-                match &chunk.interior {
+                prop_assert_eq!(chunk.start, cursor);
+                cursor += chunk.count;
+                match &chunk.plan {
                     None => prop_assert_eq!(
-                        chunk.row_count, 2,
+                        chunk.count, 2,
                         "interface-only chunks have exactly two rows"
                     ),
                     Some(interior) => {
-                        prop_assert!(chunk.row_count > 2);
+                        prop_assert!(chunk.count > 2);
                         prop_assert_eq!(interior.m, 1);
-                        prop_assert_eq!(interior.n, chunk.row_count - 2);
+                        prop_assert_eq!(interior.n, chunk.count - 2);
                         prop_assert_eq!(interior.elem_bytes, 8);
                     }
                 }
@@ -154,7 +163,7 @@ proptest! {
             prop_assert_eq!(reduced.n, 2 * group.len());
         }
         // Validate the serialized form against its own schema checker.
-        let problems = tridiag_gpu::validate_distributed_plan_json(&plan.to_json());
+        let problems = validate_distributed_plan_json(&plan.to_json());
         prop_assert!(problems.is_empty(), "schema drift: {:?}", problems);
         // And certify with the static verifier.
         let report = tridiag_gpu::verify_distributed_plan(&group, &plan);
@@ -169,9 +178,45 @@ proptest! {
 #[test]
 fn distributed_plan_rejects_more_interface_rows_than_rows() {
     let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 4).unwrap();
+    let err = split_plan(&group, 7).unwrap_err();
+    assert!(matches!(err, SimError::InvalidPlan(_)), "got {err:?}");
+    let err = split_plan(&group, 0).unwrap_err();
+    assert!(matches!(err, SimError::InvalidPlan(_)), "got {err:?}");
+}
+
+/// The schema checker rejects the split kind's own violations: a
+/// systems split carrying a reduced plan, a row split across `D >= 2`
+/// devices without one, and a shard whose plan solves a different
+/// number of systems than it owns.
+#[test]
+fn schema_rejects_split_kind_violations() {
+    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
     let config = GpuSolverConfig::default();
-    let err = DistributedPlan::build(&group, &config, 7, 8).unwrap_err();
-    assert!(matches!(err, SimError::InvalidPlan(_)), "got {err:?}");
-    let err = DistributedPlan::build(&group, &config, 0, 8).unwrap_err();
-    assert!(matches!(err, SimError::InvalidPlan(_)), "got {err:?}");
+    let sharded = DistributedPlan::build(&group, &config, Split::Systems, 64, 512, 8).unwrap();
+    let split = split_plan(&group, 512).unwrap();
+    assert!(validate_distributed_plan_json(&sharded.to_json()).is_empty());
+
+    let mut plan = sharded.clone();
+    plan.reduced = split.reduced.clone();
+    let problems = validate_distributed_plan_json(&plan.to_json());
+    assert!(
+        problems.iter().any(|p| p.contains("systems split carries a reduced")),
+        "{problems:?}"
+    );
+
+    let mut plan = split.clone();
+    plan.reduced = None;
+    let problems = validate_distributed_plan_json(&plan.to_json());
+    assert!(
+        problems.iter().any(|p| p.contains("no reduced interface plan")),
+        "{problems:?}"
+    );
+
+    let mut plan = sharded;
+    plan.parts[1].plan.as_mut().unwrap().m += 1;
+    let problems = validate_distributed_plan_json(&plan.to_json());
+    assert!(
+        problems.iter().any(|p| p.contains("part 1") && p.contains("but the shard owns 32")),
+        "{problems:?}"
+    );
 }

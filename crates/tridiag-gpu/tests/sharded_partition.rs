@@ -1,17 +1,22 @@
 //! Property tests of the shard partitioner and the sharded planner.
 //!
-//! The contract under test: `partition_systems(m, d)` assigns every
+//! The contract under test: `Split::Systems.partition(m, d)` assigns every
 //! system index to exactly one contiguous shard, shard sizes are
 //! balanced within ±1, and the degenerate geometries (`m == 0`,
 //! `m < d`, `d == 0`) are typed `InvalidPlan` errors — never panics,
-//! never empty shards. On top of that, `ShardedPlan::build` must pin
+//! never empty shards. On top of that, a `Split::Systems`
+//! `DistributedPlan::build` must pin
 //! the reference device's decisions into every shard, re-clamped per
 //! device for heterogeneous groups.
 
 use gpu_sim::{DeviceGroup, DeviceSpec, SimError};
 use proptest::prelude::*;
 use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::{partition_systems, ShardedPlan};
+use tridiag_gpu::{DistributedPlan, Split};
+
+fn partition_systems(m: usize, d: usize) -> gpu_sim::Result<Vec<(usize, usize)>> {
+    Split::Systems.partition(m, d)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -81,21 +86,23 @@ proptest! {
         let _ = seed; // plans are deterministic; seed only varies the case mix
         let group = DeviceGroup::from_specs(specs).unwrap();
         let config = GpuSolverConfig::default();
-        let plan = ShardedPlan::build(&group, &config, m, n, 8).unwrap();
-        prop_assert_eq!(plan.shards.len(), group.len());
+        let plan = DistributedPlan::build(&group, &config, Split::Systems, m, n, 8).unwrap();
+        prop_assert_eq!(plan.parts.len(), group.len());
+        let reference_k = plan.pinned.unwrap().k;
         let mut cursor = 0usize;
-        for (i, shard) in plan.shards.iter().enumerate() {
+        for (i, shard) in plan.parts.iter().enumerate() {
+            let shard_plan = shard.plan.as_ref().unwrap();
             prop_assert_eq!(shard.device_index, i);
-            prop_assert_eq!(shard.sys_start, cursor);
-            cursor += shard.sys_count;
-            prop_assert_eq!(shard.plan.m, shard.sys_count);
-            prop_assert_eq!(shard.plan.n, n);
+            prop_assert_eq!(shard.start, cursor);
+            cursor += shard.count;
+            prop_assert_eq!(shard_plan.m, shard.count);
+            prop_assert_eq!(shard_plan.n, n);
             // Pinned-then-reclamped: never above the reference depth.
-            prop_assert!(shard.plan.k <= plan.reference.k);
+            prop_assert!(shard_plan.k <= reference_k);
         }
         prop_assert_eq!(cursor, m);
         // Validate the serialized form against its own schema checker.
-        let problems = tridiag_gpu::validate_sharded_plan_json(&plan.to_json());
+        let problems = tridiag_gpu::validate_distributed_plan_json(&plan.to_json());
         prop_assert!(problems.is_empty(), "schema drift: {:?}", problems);
     }
 }
@@ -104,8 +111,8 @@ proptest! {
 fn sharded_plan_rejects_more_devices_than_systems() {
     let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 4).unwrap();
     let config = GpuSolverConfig::default();
-    let err = ShardedPlan::build(&group, &config, 2, 512, 8).unwrap_err();
+    let err = DistributedPlan::build(&group, &config, Split::Systems, 2, 512, 8).unwrap_err();
     assert!(matches!(err, SimError::InvalidPlan(_)), "got {err:?}");
-    let err = ShardedPlan::build(&group, &config, 0, 512, 8).unwrap_err();
+    let err = DistributedPlan::build(&group, &config, Split::Systems, 0, 512, 8).unwrap_err();
     assert!(matches!(err, SimError::InvalidPlan(_)), "got {err:?}");
 }

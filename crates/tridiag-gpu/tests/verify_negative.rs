@@ -1,6 +1,6 @@
 //! Negative suite for the plan verifier: hand-corrupt a known-good
 //! plan one way per diagnostic class and demand [`verify_plan`] /
-//! [`verify_sharded_plan`] catches each with the right
+//! [`verify_distributed_plan`] catches each with the right
 //! [`FindingKind`] *and* the right step index — a verifier that fires
 //! without attribution is barely better than one that stays silent.
 //!
@@ -14,7 +14,10 @@ use tridiag_core::generators::random_batch;
 use tridiag_core::Layout;
 use tridiag_gpu::plan::{BufferDecl, KernelOp, Step};
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
-use tridiag_gpu::{verify_plan, verify_sharded_plan, FindingKind, PlanExecutor, SolvePlan};
+use tridiag_gpu::{
+    verify_distributed_plan, verify_plan, DistributedExecutor, FindingKind, PlanExecutor,
+    SolvePlan,
+};
 
 fn base_plan() -> (DeviceSpec, SolvePlan) {
     let device = DeviceSpec::gtx480();
@@ -183,20 +186,20 @@ fn shard_partition_violations_fire_with_shard_attribution() {
 
     // A gap: shard 1 starts one system late.
     let mut plan = base.clone();
-    plan.shards[1].sys_start += 1;
-    let report = verify_sharded_plan(&group, &plan);
+    plan.parts[1].start += 1;
+    let report = verify_distributed_plan(&group, &plan);
     let f = report
         .findings
         .iter()
         .find(|f| f.kind == FindingKind::ShardPartition)
         .expect("expected a shard-partition finding");
-    assert_eq!(f.shard, Some(1));
+    assert_eq!(f.part, Some(1));
 
     // An overlap: shard 1 re-claims shard 0's last system.
     let mut plan = base.clone();
-    plan.shards[1].sys_start -= 1;
-    plan.shards[1].sys_count += 1;
-    let report = verify_sharded_plan(&group, &plan);
+    plan.parts[1].start -= 1;
+    plan.parts[1].count += 1;
+    let report = verify_distributed_plan(&group, &plan);
     assert!(
         report.findings.iter().any(|f| f.kind == FindingKind::ShardPartition),
         "an overlapping partition must be rejected: {:?}",
@@ -212,19 +215,20 @@ fn shard_consistency_violations_fire_for_unpinned_decisions() {
 
     // k drifting above the pinned reference decision.
     let mut plan = base.clone();
-    plan.shards[0].plan.k += 1;
-    let report = verify_sharded_plan(&group, &plan);
+    plan.parts[0].plan.as_mut().unwrap().k += 1;
+    let report = verify_distributed_plan(&group, &plan);
     let f = report
         .findings
         .iter()
         .find(|f| f.kind == FindingKind::ShardConsistency)
         .expect("expected a shard-consistency finding");
-    assert_eq!(f.shard, Some(0));
+    assert_eq!(f.part, Some(0));
 
     // Fusion flipping off the pin.
     let mut plan = base.clone();
-    plan.shards[1].plan.fused = !plan.shards[1].plan.fused;
-    let report = verify_sharded_plan(&group, &plan);
+    let shard = plan.parts[1].plan.as_mut().unwrap();
+    shard.fused = !shard.fused;
+    let report = verify_distributed_plan(&group, &plan);
     assert!(
         report.findings.iter().any(|f| f.kind == FindingKind::ShardConsistency),
         "a fusion flip must be rejected: {:?}",
@@ -266,9 +270,9 @@ fn sharded_executor_refuses_an_uncertified_plan() {
     let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
     let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
     let mut plan = solver.plan_geometry_group(&group, 64, 512, 8).unwrap();
-    plan.shards[1].sys_start += 1;
+    plan.parts[1].start += 1;
     let batch = random_batch::<f64>(64, 512, 7);
-    let exec = tridiag_gpu::ShardedExecutor::new(group.clone(), ExecConfig::default());
+    let exec = DistributedExecutor::new(group.clone(), ExecConfig::default());
     let err = exec.run(&plan, &batch).unwrap_err();
     match err {
         SimError::InvalidPlan(msg) => {
@@ -277,4 +281,49 @@ fn sharded_executor_refuses_an_uncertified_plan() {
         }
         other => panic!("expected InvalidPlan, got {other:?}"),
     }
+}
+
+/// The split kind's own invariants: a systems split never carries a
+/// reduced interface plan, a row split across `D >= 2` devices always
+/// does, and a shard's plan solves exactly the systems it owns.
+#[test]
+fn split_kind_violations_fire_with_attribution() {
+    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
+    let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
+    let sharded = solver.plan_geometry_group(&group, 64, 512, 8).unwrap();
+    let split = solver.plan_geometry_split(&group, 512, 8).unwrap();
+
+    // A systems split that carries a reduced plan.
+    let mut plan = sharded.clone();
+    plan.reduced = split.reduced.clone();
+    let report = verify_distributed_plan(&group, &plan);
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.kind == FindingKind::ReducedSystem)
+        .expect("expected a reduced-system finding");
+    assert!(f.message.contains("systems split"), "{f}");
+
+    // A two-device row split with no reduced plan.
+    let mut plan = split.clone();
+    plan.reduced = None;
+    let report = verify_distributed_plan(&group, &plan);
+    assert!(
+        report.findings.iter().any(|f| f.kind == FindingKind::ReducedSystem),
+        "a row split without its reduced plan must be rejected: {:?}",
+        report.findings
+    );
+
+    // A shard whose plan solves a different number of systems than it
+    // owns.
+    let mut plan = sharded.clone();
+    plan.parts[1].plan.as_mut().unwrap().m += 1;
+    let report = verify_distributed_plan(&group, &plan);
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.kind == FindingKind::ShardConsistency)
+        .expect("expected a shard-consistency finding");
+    assert_eq!(f.part, Some(1));
+    assert!(f.message.contains("but the shard owns 32"), "{f}");
 }

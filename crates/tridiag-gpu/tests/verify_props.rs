@@ -9,7 +9,7 @@ use gpu_sim::{DeviceGroup, DeviceSpec};
 use proptest::prelude::*;
 use tridiag_core::generators::random_batch;
 use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
-use tridiag_gpu::{verify_plan, verify_sharded_plan};
+use tridiag_gpu::{verify_distributed_plan, verify_plan};
 
 fn device_by_index(which: usize) -> DeviceSpec {
     match which % 3 {
@@ -94,13 +94,13 @@ proptest! {
         let group = DeviceGroup::homogeneous(device.clone(), d).unwrap();
         let solver = GpuTridiagSolver::new(device, GpuSolverConfig::default());
         let plan = solver.plan_geometry_group(&group, m, n, 8).unwrap();
-        let report = verify_sharded_plan(&group, &plan);
+        let report = verify_distributed_plan(&group, &plan);
         prop_assert!(
             report.is_clean(),
             "planner emitted an uncertifiable sharded plan: {:?}",
             report.messages()
         );
-        prop_assert_eq!(report.shards.len(), d);
+        prop_assert_eq!(report.parts.len(), d);
 
         let batch = random_batch::<f64>(m, n, seed);
         let (_, run) = solver.solve_batch_group(&group, &batch).unwrap();
@@ -121,6 +121,6 @@ fn heterogeneous_groups_certify_clean() {
         DeviceGroup::from_specs(vec![DeviceSpec::gtx480(), DeviceSpec::gtx280()]).unwrap();
     let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
     let plan = solver.plan_geometry_group(&group, 32, 1024, 8).unwrap();
-    let report = verify_sharded_plan(&group, &plan);
+    let report = verify_distributed_plan(&group, &plan);
     assert!(report.is_clean(), "findings: {:?}", report.messages());
 }

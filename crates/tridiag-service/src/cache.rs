@@ -1,4 +1,5 @@
-//! The plan cache: memoized [`ShardedPlan`]s keyed by geometry,
+//! The plan cache: memoized [`DistributedPlan`]s (systems split) keyed
+//! by geometry,
 //! precision, device-group fingerprint and solver-config fingerprint.
 //!
 //! PR 4 made [`tridiag_gpu::SolvePlan::build`] a pure function of
@@ -13,16 +14,16 @@ use std::sync::Arc;
 
 use gpu_sim::{DeviceGroup, Result, SimError};
 use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::ShardedPlan;
 use tridiag_gpu::hash::{fnv1a_extend, FNV_OFFSET};
+use tridiag_gpu::{DistributedPlan, Split};
 
 /// Statically certify `plan` against `group` with the plan verifier
 /// ([`tridiag_gpu::verify`]). `Ok(())` when clean; otherwise
 /// [`SimError::InvalidPlan`] listing every finding. [`PlanCache::lookup`]
 /// runs this on every miss, so an ill-formed plan can never be
 /// inserted and replayed to later requests.
-pub fn certify(group: &DeviceGroup, plan: &ShardedPlan) -> Result<()> {
-    let report = tridiag_gpu::verify_sharded_plan(group, plan);
+pub fn certify(group: &DeviceGroup, plan: &DistributedPlan) -> Result<()> {
+    let report = tridiag_gpu::verify_distributed_plan(group, plan);
     if report.is_clean() {
         Ok(())
     } else {
@@ -51,12 +52,6 @@ pub struct PlanKey {
     /// under (the service builds plans under *pinned* configs, which
     /// must not alias the base config's plans).
     pub config_fp: u64,
-    /// Row-split device count for a distributed single-system solve
-    /// ([`tridiag_gpu::DistributedPlan`]), `0` for the ordinary batch
-    /// path. Carried in the key so a batch plan for `m = 1` and a
-    /// distributed plan over the same geometry — even the `D = 1`
-    /// identity — can never alias each other's cache entries.
-    pub split_n: usize,
 }
 
 /// FNV-1a fingerprint of every config field that shapes a plan.
@@ -95,7 +90,7 @@ pub struct CacheStats {
 pub struct PlanCache {
     capacity: usize,
     /// LRU order: front = coldest, back = hottest.
-    entries: Vec<(PlanKey, Arc<ShardedPlan>)>,
+    entries: Vec<(PlanKey, Arc<DistributedPlan>)>,
     stats: CacheStats,
 }
 
@@ -144,33 +139,11 @@ impl PlanCache {
             elem_bytes,
             group_fp: group.fingerprint(),
             config_fp: config_fingerprint(config),
-            split_n: 0,
-        }
-    }
-
-    /// The key a distributed single-system lookup would use: one
-    /// `n`-row system split across `split_n` devices. Distinct from
-    /// every batch key (including `m = 1` over the same geometry) by
-    /// construction.
-    pub fn key_for_split(
-        group: &DeviceGroup,
-        config: &GpuSolverConfig,
-        n: usize,
-        elem_bytes: usize,
-        split_n: usize,
-    ) -> PlanKey {
-        PlanKey {
-            m: 1,
-            n,
-            elem_bytes,
-            group_fp: group.fingerprint(),
-            config_fp: config_fingerprint(config),
-            split_n,
         }
     }
 
     /// The plan for `(group, config, m, n, elem_bytes)` and whether it
-    /// was a cache hit. A miss builds via [`ShardedPlan::build`] and
+    /// was a cache hit. A miss builds via [`DistributedPlan::build`] and
     /// inserts, evicting the least-recently-used entry at capacity;
     /// build failures are returned as-is and cache nothing.
     pub fn lookup(
@@ -180,7 +153,7 @@ impl PlanCache {
         m: usize,
         n: usize,
         elem_bytes: usize,
-    ) -> Result<(Arc<ShardedPlan>, bool)> {
+    ) -> Result<(Arc<DistributedPlan>, bool)> {
         self.stats.lookups += 1;
         let key = Self::key_for(group, config, m, n, elem_bytes);
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
@@ -192,7 +165,8 @@ impl PlanCache {
             return Ok((plan, true));
         }
         self.stats.misses += 1;
-        let plan = Arc::new(ShardedPlan::build(group, config, m, n, elem_bytes)?);
+        let plan = DistributedPlan::build(group, config, Split::Systems, m, n, elem_bytes)?;
+        let plan = Arc::new(plan);
         // Verification-on-insert: only certified plans are cached (and
         // only certified plans are returned at all).
         certify(group, &plan)?;
@@ -204,33 +178,5 @@ impl PlanCache {
             self.entries.push((key, Arc::clone(&plan)));
         }
         Ok((plan, false))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gpu_sim::DeviceSpec;
-
-    /// A distributed-split key never collides with any batch key over
-    /// the same geometry — not even the `D = 1` identity split against
-    /// the `m = 1` batch plan, which solve identical systems through
-    /// different plan types.
-    #[test]
-    fn split_keys_never_alias_batch_keys() {
-        let group = DeviceGroup::single(DeviceSpec::gtx480());
-        let config = GpuSolverConfig::default();
-        let batch = PlanCache::key_for(&group, &config, 1, 4096, 8);
-        assert_eq!(batch.split_n, 0, "batch keys carry no split");
-        let identity = PlanCache::key_for_split(&group, &config, 4096, 8, 1);
-        assert_ne!(batch, identity);
-        let d2 = PlanCache::key_for_split(&group, &config, 4096, 8, 2);
-        let d4 = PlanCache::key_for_split(&group, &config, 4096, 8, 4);
-        assert_ne!(d2, d4, "different split counts are different plans");
-        assert_eq!(
-            d2,
-            PlanCache::key_for_split(&group, &config, 4096, 8, 2),
-            "equal lookups share one entry"
-        );
     }
 }

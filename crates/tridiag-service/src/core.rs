@@ -27,11 +27,10 @@ use std::sync::Arc;
 
 use gpu_sim::group::copy_us;
 use gpu_sim::{DeviceGroup, ExecConfig, Result, SimError};
-use tridiag_core::transition::TransitionPolicy;
-use tridiag_core::{Layout, SystemBatch};
+use tridiag_core::SystemBatch;
 use tridiag_gpu::buffers::GpuScalar;
-use tridiag_gpu::solver::{CostModel, GpuSolverConfig, LayoutChoice, MappingVariant};
-use tridiag_gpu::{ShardedExecutor, ShardedPlan, SolvePlan};
+use tridiag_gpu::solver::GpuSolverConfig;
+use tridiag_gpu::{DistributedExecutor, DistributedPlan, Pinned, SolvePlan};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::coalesce::{coalesce, CoalescedBatch};
@@ -73,15 +72,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Decisions pinned for one `(n, elem_bytes)` geometry.
-#[derive(Debug, Clone, Copy)]
-struct Pin {
-    k: u32,
-    mapping: MappingVariant,
-    fused: bool,
-    layout: Layout,
-}
-
 /// The deterministic engine: device group, plan cache, pinned
 /// decisions, and the tick machinery. The threaded
 /// [`crate::service::SolveService`] and the modeled
@@ -91,7 +81,7 @@ pub struct ServiceCore {
     group: DeviceGroup,
     cfg: ServiceConfig,
     cache: PlanCache,
-    pins: BTreeMap<(usize, usize), Pin>,
+    pins: BTreeMap<(usize, usize), Pinned>,
     telemetry: Telemetry,
 }
 
@@ -169,27 +159,15 @@ impl ServiceCore {
                     n,
                     elem_bytes,
                 )?;
-                let pin = Pin {
-                    k: reference.k,
-                    mapping: reference.mapping,
-                    fused: reference.fused,
-                    layout: reference.layout,
-                };
+                let pin = Pinned::of(&reference);
                 self.pins.insert((n, elem_bytes), pin);
                 pin
             }
         };
-        Ok(GpuSolverConfig {
-            policy: TransitionPolicy::Fixed(pin.k),
-            mapping: pin.mapping,
-            fused: pin.fused,
-            // The layout decided at pin_m replays verbatim at every
-            // batch size (bit-neutrality of coalescing), so the cost
-            // model must not re-score at the coalesced geometry.
-            cost: CostModel::Legacy,
-            layout: LayoutChoice::pin(pin.layout),
-            ..base
-        })
+        // The layout decided at pin_m replays verbatim at every batch
+        // size (bit-neutrality of coalescing): the pinned config does
+        // not let the cost model re-score at the coalesced geometry.
+        Ok(pin.config(&base))
     }
 
     /// The group a batch of `m` systems actually shards over: the full
@@ -559,11 +537,11 @@ fn map_solver_error(e: SimError) -> ServiceError {
 fn run_plan<S: GpuScalar + Send + Sync>(
     group: &DeviceGroup,
     exec: ExecConfig,
-    plan: &Arc<ShardedPlan>,
+    plan: &Arc<DistributedPlan>,
     batch: &SystemBatch<S>,
 ) -> Result<(Vec<S>, f64, Vec<DeviceSpan>)> {
     let m = batch.num_systems();
-    let ex = ShardedExecutor::new(group.clone(), exec);
+    let ex = DistributedExecutor::new(group.clone(), exec);
     ex.run::<S>(plan, batch).map(|(x, report)| {
         let devices = if report.shards.is_empty() {
             vec![DeviceSpan {

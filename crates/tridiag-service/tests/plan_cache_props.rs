@@ -2,7 +2,7 @@
 //!
 //! The contract: a hit returns a plan *byte-identical* (same
 //! `describe()`, same `to_json()` text) to a fresh
-//! `ShardedPlan::build`; distinct keys never collide; eviction at
+//! `DistributedPlan::build`; distinct keys never collide; eviction at
 //! capacity only costs recompute, never correctness; and the counters
 //! obey `lookups == hits + misses` under any lookup sequence.
 
@@ -10,7 +10,7 @@ use gpu_sim::{DeviceGroup, DeviceSpec};
 use proptest::prelude::*;
 use tridiag_core::transition::TransitionPolicy;
 use tridiag_gpu::solver::GpuSolverConfig;
-use tridiag_gpu::ShardedPlan;
+use tridiag_gpu::{DistributedPlan, Split};
 use tridiag_service::{config_fingerprint, PlanCache};
 
 fn gtx480_group() -> DeviceGroup {
@@ -39,7 +39,7 @@ proptest! {
         let (second, hit2) = cache.lookup(&group, &config, m, n, bytes).unwrap();
         prop_assert!(!hit1, "first lookup must miss");
         prop_assert!(hit2, "second lookup must hit");
-        let fresh = ShardedPlan::build(&group, &config, m, n, bytes).unwrap();
+        let fresh = DistributedPlan::build(&group, &config, Split::Systems, m, n, bytes).unwrap();
         prop_assert_eq!(first.describe(), fresh.describe());
         prop_assert_eq!(second.describe(), fresh.describe());
         prop_assert_eq!(first.to_json().to_string(), fresh.to_json().to_string());
@@ -65,7 +65,7 @@ proptest! {
             "two distinct keys returned one plan"
         );
         // And each matches its own fresh build.
-        let f1 = ShardedPlan::build(&group, &config, key1.0, key1.1, key1.2).unwrap();
+        let f1 = DistributedPlan::build(&group, &config, Split::Systems, key1.0, key1.1, key1.2).unwrap();
         prop_assert_eq!(p1.describe(), f1.describe());
         let stats = cache.stats();
         prop_assert_eq!(stats.lookups, 2);
@@ -94,7 +94,7 @@ proptest! {
         // Every key still answers correctly, evicted or not.
         for &m in &ms {
             let (plan, _) = cache.lookup(&group, &config, m, 128, 8).unwrap();
-            let fresh = ShardedPlan::build(&group, &config, m, 128, 8).unwrap();
+            let fresh = DistributedPlan::build(&group, &config, Split::Systems, m, 128, 8).unwrap();
             prop_assert_eq!(plan.describe(), fresh.describe());
         }
     }
@@ -137,7 +137,7 @@ fn config_fingerprint_separates_pinned_configs() {
     let (p_pin, hit) = cache.lookup(&group, &pinned, 256, 64, 8).unwrap();
     assert!(!hit, "different configs must not share a cache entry");
     assert_ne!(
-        p_base.reference.k, p_pin.reference.k,
+        p_base.pinned.unwrap().k, p_pin.pinned.unwrap().k,
         "the two configs plan different k at this geometry, so aliasing would be wrong"
     );
 }
@@ -166,16 +166,16 @@ fn group_fingerprint_separates_compositions() {
 
 /// Verification-on-insert: [`tridiag_service::certify`] rejects a
 /// corrupted sharded plan, so [`PlanCache::lookup`] can never cache or
-/// return one. A shifted `sys_start` breaks partition contiguity.
+/// return one. A shifted part `start` breaks partition contiguity.
 #[test]
 fn certify_rejects_a_corrupted_sharded_plan() {
     let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
     let config = GpuSolverConfig::default();
-    let plan = ShardedPlan::build(&group, &config, 64, 512, 8).unwrap();
+    let plan = DistributedPlan::build(&group, &config, Split::Systems, 64, 512, 8).unwrap();
     assert!(tridiag_service::certify(&group, &plan).is_ok());
 
     let mut corrupted = plan.clone();
-    corrupted.shards[1].sys_start += 1;
+    corrupted.parts[1].start += 1;
     let err = tridiag_service::certify(&group, &corrupted).unwrap_err();
     let msg = err.to_string();
     assert!(

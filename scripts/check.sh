@@ -125,11 +125,12 @@ echo "== API docs (first-party, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps \
   -p tridiag-core -p gpu-sim -p tridiag-gpu -p cpu-ref -p tridiag-service > /dev/null
 
-echo "== CLI multi-device smoke (sharded solve + sharded plan schema) =="
+echo "== CLI multi-device smoke (sharded solve + distributed plan schema) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 8 --n 256 --devices 2)"
 grep -q "devices     : 2" <<<"$out"
+cargo run --release -q -p tridiag-cli -- solve --m 64 --n 512 --devices 2 > /dev/null
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --devices 2 --json)"
-grep -q "tridiag.sharded_plan/v2" <<<"$out"
+grep -q "tridiag.distributed_plan/v2" <<<"$out"
 
 echo "== CLI distributed smoke (one system row-split, certified + solved) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --split-n 4 --n 4096 --verify)"
@@ -137,7 +138,7 @@ grep -q "one system row-split" <<<"$out"
 grep -q "distributed : reduced 8 unknowns" <<<"$out"
 grep -q "verify      : clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- plan --split-n 2 --n 16384 --json)"
-grep -q "tridiag.distributed_plan/v1" <<<"$out"
+grep -q "tridiag.distributed_plan/v2" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- verify --split-n 2 --n 16384)"
 grep -q "clean" <<<"$out"
 
@@ -178,6 +179,8 @@ test -s "$tracedir/tel/events.jsonl"
 test -s "$tracedir/tel/trace.json"
 out="$(cargo run --release -q -p tridiag-cli -- serve --requests 8 --clients 4 --telemetry "$tracedir/tel_serve")"
 grep -q "answered 8/8 bit-identical to solo" <<<"$out"
+test -s "$tracedir/tel_serve/metrics.json"
 test -s "$tracedir/tel_serve/events.jsonl"
+test -s "$tracedir/tel_serve/trace.json"
 
 echo "all checks passed"
