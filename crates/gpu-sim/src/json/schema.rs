@@ -1,5 +1,5 @@
 //! Shared building blocks for the strict "collect all findings" JSON
-//! validators (`tridiag.solve_plan/v2`, `tridiag.distributed_plan/v2`,
+//! validators (`tridiag.solve_plan/v3`, `tridiag.distributed_plan/v2`,
 //! `tridiag.service_report/v1`, `tridiag.metrics/v1`,
 //! `tridiag.events/v1`, Chrome traces).
 //!

@@ -63,6 +63,15 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// The first option or flag not in `known`, if any.
+    pub fn unknown_option(&self, known: &[&str]) -> Option<&str> {
+        self.opts
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .find(|k| !known.contains(k))
+    }
+
     /// Comma-separated list option.
     pub fn get_list(&self, key: &str) -> Result<Option<Vec<usize>>, String> {
         match self.opts.get(key) {
@@ -108,6 +117,14 @@ mod tests {
         assert!(parse("tune --m-list 1,x").get_list("m-list").is_err());
         assert!(Args::parse(["solve".into(), "extra".into()]).is_err());
         assert!(parse("solve --n notanumber").get_or("n", 0usize).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let a = parse("solve --m 8 --sanitise --verbose");
+        assert_eq!(a.unknown_option(&["m", "verbose"]), Some("sanitise"));
+        assert_eq!(a.unknown_option(&["m", "verbose", "sanitise"]), None);
+        assert_eq!(parse("solve --typo 3").unknown_option(&["m"]), Some("typo"));
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //! tridiag solve --split-n 4 --n 1000000   # one huge system row-split
 //!                                         # across 4 devices
 //! tridiag plan --m 256 --n 1024 [--json] # print the solve plan, no execution
-//! tridiag plan --sweep                   # dry-run + schema-check sweep plans
 //! tridiag verify --m 256 --n 1024        # statically certify the plan
-//! tridiag verify --sweep                 # certify + execute + cross-check
-//! tridiag verify --negative              # corruption suite: all classes fire
 //! tridiag profile --m 256 --n 1024       # per-phase profile + Chrome trace
 //! tridiag profile --zoo --out zoo.json   # ...for every shipped kernel
 //! tridiag compare --m 64 --n 2048        # run every engine, check parity
@@ -26,9 +23,10 @@
 //!                                        # metrics, SLO account, replay checks
 //! ```
 //!
-//! Exit codes: 0 = success, 1 = usage or solve error, 2 = lint or
-//! sanitizer findings (the solve itself succeeded, but a check found
-//! property violations).
+//! Exit codes: 0 = success, 1 = usage or solve error (an option the
+//! subcommand does not read is a usage error), 2 = lint or sanitizer
+//! findings (the solve itself succeeded, but a check found property
+//! violations).
 
 mod args;
 
@@ -210,20 +208,21 @@ fn multi_device_plan(
     Ok(Some((group, plan)))
 }
 
-/// A multi-device verification's findings as a failure (exit 2).
-fn verify_outcome(report: &tridiag_gpu::DistributedVerifyReport) -> Result<(), Failure> {
-    if report.is_clean() {
+/// A plan verification's findings as a failure (exit 2).
+fn verify_outcome(messages: Vec<String>) -> Result<(), Failure> {
+    if messages.is_empty() {
         return Ok(());
     }
     Err(Failure::Findings(format!(
         "plan verification:\n  - {}",
-        report.messages().join("\n  - ")
+        messages.join("\n  - ")
     )))
 }
 
 /// Parse `--layout`: the planner's memory-layout choice. `auto`
-/// (default) lets the cost model decide; `contiguous`/`interleaved`
-/// pin the device layout regardless of what the model would pick.
+/// (default) follows the transition rule — interleaved p-Thomas when
+/// `k = 0`, the contiguous hybrid otherwise; `contiguous`/`interleaved`
+/// pin the device layout.
 fn layout_choice(a: &Args) -> Result<LayoutChoice, String> {
     match a.get("layout").unwrap_or("auto") {
         "auto" => Ok(LayoutChoice::Auto),
@@ -241,9 +240,9 @@ fn usage() -> &'static str {
      [--split-n D|auto] [--seed S] [--layout auto|contiguous|interleaved] \
      [--verbose] [--sanitize] [--lint] [--check] [--trace FILE] [--json] [--dry-run]\n  \
      tridiag plan    --m M --n N [--precision f64|f32] [--device D] [--devices G] \
-     [--split-n D] [--layout L] [--json] [--verify] | --sweep [--device D]\n  \
+     [--split-n D] [--layout L] [--json] [--verify]\n  \
      tridiag verify  --m M --n N [--precision f64|f32] [--device D] [--devices G] \
-     [--split-n D] [--layout L] [--json] | --sweep [--device D] | --negative [--device D]\n  \
+     [--split-n D] [--layout L] [--json]\n  \
      tridiag profile --m M --n N [--precision f64|f32] [--device D] [--seed S] \
      [--out FILE] | --zoo [--out FILE]\n  \
      tridiag compare --m M --n N [--seed S]\n  \
@@ -258,7 +257,7 @@ fn usage() -> &'static str {
      \u{20}           [--precision f64|f32] [--device D] [--devices G] [--seed S]\n  \
      tridiag stats   [--requests R] [--window US] [--m M] [--n N] [--seed S]\n  \
      \u{20}           [--precision f64|f32|mixed] [--device D] [--devices G] [--top K]\n  \
-     \u{20}           [--json] [--out DIR] | --negative\n\n\
+     \u{20}           [--json] [--out DIR]\n\n\
      solve service:\n  \
      serve       start the threaded solve service, submit R requests from C\n  \
      \u{20}           concurrent client threads through the coalescing queue, and\n  \
@@ -273,9 +272,7 @@ fn usage() -> &'static str {
      \u{20}           labels per family), latency attribution, SLO account, and\n  \
      \u{20}           the exact-partition + event-replay + request-chain checks\n  \
      \u{20}           (any violation exits 2); --json prints the raw metrics\n  \
-     \u{20}           snapshot, --out DIR writes the telemetry artifact set,\n  \
-     \u{20}           --negative injects log corruptions and demands the replay\n  \
-     \u{20}           validator fires on each (exit 2 = all fired)\n\n\
+     \u{20}           snapshot, --out DIR writes the telemetry artifact set\n\n\
      multi-device (gpu engine only):\n  \
      --devices G shard the batch across a device group: a count \
      (--devices 4 =\n  \
@@ -293,8 +290,9 @@ fn usage() -> &'static str {
      \u{20}           --split-n auto splits only when the single-device planner\n  \
      \u{20}           rejects N as too large\n\n\
      layout (gpu engine only):\n  \
-     --layout L  memory-layout choice for the planner: auto (default) lets the\n  \
-     \u{20}           transaction cost model pick, contiguous/interleaved pin the\n  \
+     --layout L  memory-layout choice for the planner: auto (default) follows\n  \
+     \u{20}           the transition rule (interleaved p-Thomas when k = 0, the\n  \
+     \u{20}           contiguous hybrid otherwise), contiguous/interleaved pin the\n  \
      \u{20}           device layout; solve --layout interleaved also hands the\n  \
      \u{20}           batch over pre-interleaved, eliding both layout conversions\n\n\
      checks (gpu engine only):\n  \
@@ -308,17 +306,11 @@ fn usage() -> &'static str {
      \u{20}           trace) as one JSON document instead of the human summary\n  \
      --dry-run   plan the solve (k, mapping, kernel sequence, buffer footprint)\n  \
      \u{20}           and print it without launching any kernel\n  \
-     plan        build and print the solve plan for a geometry; --sweep plans\n  \
-     \u{20}           the figure-sweep geometries and validates each plan's JSON\n  \
-     \u{20}           against the schema, exiting 2 on drift (nothing executes);\n  \
-     \u{20}           --verify also runs the static plan verifier on the plan\n  \
+     plan        build and print the solve plan for a geometry (nothing\n  \
+     \u{20}           executes); --verify also runs the static plan verifier\n  \
      verify      statically certify a plan (slot dataflow, liveness, layout\n  \
      \u{20}           pairing, exact transfer/launch/peak-memory certificate)\n  \
-     \u{20}           without executing; --sweep certifies the figure-sweep and\n  \
-     \u{20}           sharded geometries AND executes each, cross-checking the\n  \
-     \u{20}           certificate against measured stats; --negative injects one\n  \
-     \u{20}           corruption per diagnostic class and demands each fires\n  \
-     \u{20}           (exit 2 = all fired, exit 1 = a diagnostic was lost)\n  \
+     \u{20}           without executing\n  \
      profile     run a solve (or, with --zoo, every zoo kernel), write the\n  \
      \u{20}           trace to --out (default trace.json) and print the per-phase\n  \
      \u{20}           profile; exits 2 on phase-sum or trace-schema violations\n\n\
@@ -720,16 +712,9 @@ fn solve_typed<S: tridiag_gpu::GpuScalar>(
 }
 
 /// `tridiag plan` — build and print the declarative solve plan for a
-/// geometry without launching a single kernel. With `--sweep`, plan the
-/// figure-sweep geometries at both precisions (plus both forced
-/// layouts at f64), round-trip each plan through the strict JSON
-/// parser, and validate it against the `tridiag.solve_plan/v2`
-/// schema — exit 2 on any drift.
+/// geometry without launching a single kernel.
 fn cmd_plan(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    if a.flag("sweep") {
-        return plan_sweep(&device);
-    }
     let split = split_n_opt(a)?;
     let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
     let n: usize = a.get_or("n", 1024)?;
@@ -750,7 +735,7 @@ fn cmd_plan(a: &Args) -> Result<(), Failure> {
             if !a.flag("json") {
                 println!("{report}");
             }
-            verify_outcome(&report)?;
+            verify_outcome(report.messages())?;
         }
         return Ok(());
     }
@@ -767,148 +752,7 @@ fn cmd_plan(a: &Args) -> Result<(), Failure> {
         if !a.flag("json") {
             println!("{report}");
         }
-        if !report.is_clean() {
-            let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-            return Err(Failure::Findings(format!(
-                "plan verification:\n  - {}",
-                msgs.join("\n  - ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The `plan --sweep` smoke: the Fig. 12/13 sweep geometries, planned
-/// (never executed) at both scalar widths, each serialized plan
-/// re-parsed and schema-checked.
-fn plan_sweep(device: &DeviceSpec) -> Result<(), Failure> {
-    const GEOMETRIES: &[(usize, usize)] = &[
-        (64, 512),
-        (256, 512),
-        (1024, 512),
-        (64, 2048),
-        (256, 2048),
-        (2048, 64),
-        (256, 256),
-        (16, 1024),
-        (1, 16384),
-    ];
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
-    let mut problems = Vec::new();
-    let mut planned = 0usize;
-    for &(m, n) in GEOMETRIES {
-        for bytes in [8usize, 4] {
-            let prec = if bytes == 4 { "f32" } else { "f64" };
-            let plan = solver.plan_geometry(m, n, bytes).map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_plan_json(&doc) {
-                        problems.push(format!("m={m} n={n} {prec}: {p}"));
-                    }
-                }
-                Err(e) => {
-                    problems.push(format!("m={m} n={n} {prec}: JSON reparse failed: {e}"))
-                }
-            }
-            planned += 1;
-            println!(
-                "m={m:<5} n={n:<6} {prec}: k={} mapping={:?} fused={} layout={:?} \
-                 kernels=[{}] device_bytes={}",
-                plan.k,
-                plan.mapping,
-                plan.fused,
-                plan.layout,
-                plan.launches().map(|l| l.name).collect::<Vec<_>>().join(", "),
-                plan.device_bytes(),
-            );
-        }
-    }
-    // Forced-layout plans: the same geometries at f64 with the device
-    // layout pinned both ways — `--layout` must never produce a plan
-    // the v2 schema rejects, whatever the cost model would have chosen.
-    for (label, choice) in [
-        ("contiguous", LayoutChoice::Contiguous),
-        ("interleaved", LayoutChoice::Interleaved),
-    ] {
-        let config = GpuSolverConfig {
-            layout: choice,
-            ..Default::default()
-        };
-        let forced = GpuTridiagSolver::new(device.clone(), config);
-        for &(m, n) in GEOMETRIES {
-            let plan = forced.plan_geometry(m, n, 8).map_err(|e| e.to_string())?;
-            let text = plan.to_json().to_string();
-            match gpu_sim::json::parse(&text) {
-                Ok(doc) => {
-                    for p in tridiag_gpu::validate_plan_json(&doc) {
-                        problems.push(format!("m={m} n={n} f64 --layout {label}: {p}"));
-                    }
-                }
-                Err(e) => problems.push(format!(
-                    "m={m} n={n} f64 --layout {label}: JSON reparse failed: {e}"
-                )),
-            }
-            planned += 1;
-            println!(
-                "m={m:<5} n={n:<6} f64 --layout {label}: k={} layout={:?} kernels=[{}]",
-                plan.k,
-                plan.layout,
-                plan.launches().map(|l| l.name).collect::<Vec<_>>().join(", "),
-            );
-        }
-    }
-    // Multi-device plans: a representative subset of the sweep sharded
-    // across homogeneous 2- and 4-device groups, and one system
-    // row-split across D ∈ {1, 2, 4} (D = 1 is the identity), each
-    // serialized plan re-parsed and checked against the
-    // tridiag.distributed_plan/v2 schema.
-    const SHARDED: &[(usize, usize)] = &[(64, 512), (256, 2048), (16, 1024), (2048, 64)];
-    const SPLIT_N: &[usize] = &[512, 16384];
-    let mut multi = Vec::new();
-    for devices in [1usize, 2, 4] {
-        let group = DeviceGroup::homogeneous(device.clone(), devices)
-            .map_err(|e| e.to_string())?;
-        let sharded = SHARDED.iter().filter(|_| devices > 1).map(|&(m, n)| {
-            let label = format!("m={m:<5} n={n:<6} f64 x{devices}");
-            (label, solver.plan_geometry_group(&group, m, n, 8))
-        });
-        let split = SPLIT_N.iter().map(|&n| {
-            let label = format!("n={n:<6} f64 split x{devices}");
-            (label, solver.plan_geometry_split(&group, n, 8))
-        });
-        for (label, plan) in sharded.chain(split) {
-            multi.push((label, plan.map_err(|e| e.to_string())?));
-        }
-    }
-    for (label, plan) in &multi {
-        match gpu_sim::json::parse(&plan.to_json().to_string()) {
-            Ok(doc) => {
-                for p in tridiag_gpu::validate_distributed_plan_json(&doc) {
-                    problems.push(format!("{label}: {p}"));
-                }
-            }
-            Err(e) => problems.push(format!("{label}: JSON reparse failed: {e}")),
-        }
-        planned += 1;
-        println!(
-            "{label}: split={} parts=[{}] reduced_n={} device_bytes={}",
-            plan.split.label(),
-            plan.parts
-                .iter()
-                .map(|p| p.count.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            plan.reduced.as_ref().map_or(0, |r| r.n),
-            plan.device_bytes(),
-        );
-    }
-    println!("{planned} plans built and schema-validated, no kernels launched");
-    if !problems.is_empty() {
-        return Err(Failure::Findings(format!(
-            "plan schema drift:\n  - {}",
-            problems.join("\n  - ")
-        )));
+        verify_outcome(report.findings.iter().map(|f| f.to_string()).collect())?;
     }
     Ok(())
 }
@@ -916,20 +760,9 @@ fn plan_sweep(device: &DeviceSpec) -> Result<(), Failure> {
 /// `tridiag verify` — statically certify a solve plan with the plan
 /// verifier ([`tridiag_gpu::verify`]): slot dataflow, liveness, layout
 /// pairing and the exact resource certificate, with no kernel launched.
-/// `--sweep` additionally *executes* every point and cross-checks the
-/// static [`tridiag_gpu::PlanPrediction`] against the measured
-/// transfer/launch/peak-memory stats — any discrepancy is a finding
-/// (exit 2). `--negative` runs the canned corruption suite: every
-/// diagnostic class must fire (exit 2 with the findings printed; exit 1
-/// if a class fails to fire, i.e. the verifier lost a diagnostic).
+/// Any finding exits 2.
 fn cmd_verify(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
-    if a.flag("negative") {
-        return verify_negative(&device);
-    }
-    if a.flag("sweep") {
-        return verify_sweep(&device);
-    }
     let split = split_n_opt(a)?;
     let m: usize = a.get_or("m", if split.is_some() { 1 } else { 64 })?;
     let n: usize = a.get_or("n", 1024)?;
@@ -946,7 +779,7 @@ fn cmd_verify(a: &Args) -> Result<(), Failure> {
         } else {
             println!("{report}");
         }
-        return verify_outcome(&report);
+        return verify_outcome(report.messages());
     }
     let plan = solver.plan_geometry(m, n, elem_bytes).map_err(|e| e.to_string())?;
     let report = tridiag_gpu::verify_plan(&device, &plan);
@@ -955,403 +788,7 @@ fn cmd_verify(a: &Args) -> Result<(), Failure> {
     } else {
         println!("{report}");
     }
-    if !report.is_clean() {
-        let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-        return Err(Failure::Findings(format!(
-            "plan verification:\n  - {}",
-            msgs.join("\n  - ")
-        )));
-    }
-    Ok(())
-}
-
-/// Execute a solve and return every verifier problem the run surfaced:
-/// static findings on the executed plan plus prediction-vs-measured
-/// cross-check mismatches. Empty = the certificate matched the run
-/// exactly.
-fn executed_verify_problems<S: tridiag_gpu::GpuScalar>(
-    device: &DeviceSpec,
-    group: Option<&DeviceGroup>,
-    config: GpuSolverConfig,
-    m: usize,
-    n: usize,
-) -> Result<Vec<String>, String> {
-    let solver = GpuTridiagSolver::new(device.clone(), config);
-    let batch: SystemBatch<S> = random_batch(m, n, 42);
-    // Forced-interleaved runs hand the batch over pre-interleaved so
-    // the executed plan is the conversion-elided one.
-    let batch = if config.layout == LayoutChoice::Interleaved {
-        batch.to_layout(Layout::Interleaved)
-    } else {
-        batch
-    };
-    let (_, report) = match group {
-        Some(g) => solver.solve_batch_group(g, &batch),
-        None => solver.solve_batch(&batch),
-    }
-    .map_err(|e| e.to_string())?;
-    let mut problems: Vec<String> =
-        report.verify.findings.iter().map(|f| f.to_string()).collect();
-    problems.extend(report.verify_mismatches.iter().cloned());
-    Ok(problems)
-}
-
-/// The `verify --sweep` smoke: the Fig. 12/13 sweep geometries at both
-/// precisions plus sharded D ∈ {2, 4} points, each plan statically
-/// certified *and* executed with the certificate cross-checked against
-/// the measured stats. A final section repeats representative points
-/// with the device layout force-pinned both ways (single-device and
-/// sharded), so `--layout` plans carry exact certificates too.
-fn verify_sweep(device: &DeviceSpec) -> Result<(), Failure> {
-    const GEOMETRIES: &[(usize, usize)] = &[
-        (64, 512),
-        (256, 512),
-        (1024, 512),
-        (64, 2048),
-        (256, 2048),
-        (2048, 64),
-        (256, 256),
-        (16, 1024),
-        (1, 16384),
-    ];
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
-    let mut problems = Vec::new();
-    let mut verified = 0usize;
-    for &(m, n) in GEOMETRIES {
-        for bytes in [8usize, 4] {
-            let prec = if bytes == 4 { "f32" } else { "f64" };
-            let plan = solver.plan_geometry(m, n, bytes).map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_plan(device, &plan);
-            let before = problems.len();
-            for f in &report.findings {
-                problems.push(format!("m={m} n={n} {prec}: {f}"));
-            }
-            let run = if bytes == 4 {
-                executed_verify_problems::<f32>(device, None, GpuSolverConfig::default(), m, n)
-            } else {
-                executed_verify_problems::<f64>(device, None, GpuSolverConfig::default(), m, n)
-            }
-            .map_err(Failure::Error)?;
-            for p in run {
-                problems.push(format!("m={m} n={n} {prec} (executed): {p}"));
-            }
-            verified += 1;
-            let launches: usize = report.prediction.launches.iter().map(|&(_, c)| c).sum();
-            println!(
-                "m={m:<5} n={n:<6} {prec}: peak={:>11} B  h2d={:>11} B  d2h={:>10} B  \
-                 launches={launches}  {}",
-                report.prediction.peak_resident_bytes,
-                report.prediction.h2d_total_bytes,
-                report.prediction.d2h_total_bytes,
-                if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
-            );
-        }
-    }
-    // Sharded points: a representative subset of the sweep across
-    // homogeneous 2- and 4-device groups, every shard certified plus
-    // the cross-device partition/consistency invariants, then executed
-    // with per-device cross-checks.
-    const SHARDED: &[(usize, usize)] = &[(64, 512), (256, 2048), (16, 1024), (2048, 64)];
-    for &devices in &[2usize, 4] {
-        let group =
-            DeviceGroup::homogeneous(device.clone(), devices).map_err(|e| e.to_string())?;
-        for &(m, n) in SHARDED {
-            let plan = solver
-                .plan_geometry_group(&group, m, n, 8)
-                .map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_distributed_plan(&group, &plan);
-            let before = problems.len();
-            for msg in report.messages() {
-                problems.push(format!("m={m} n={n} f64 D={devices}: {msg}"));
-            }
-            let run =
-                executed_verify_problems::<f64>(device, Some(&group), GpuSolverConfig::default(), m, n)
-                    .map_err(Failure::Error)?;
-            for p in run {
-                problems.push(format!("m={m} n={n} f64 D={devices} (executed): {p}"));
-            }
-            verified += 1;
-            println!(
-                "m={m:<5} n={n:<6} f64 x{devices}: {} shard(s) certified  {}",
-                report.parts.len(),
-                if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
-            );
-        }
-    }
-    // Forced-layout points: both pinned device layouts, certified AND
-    // executed with the certificate cross-checked against measured
-    // stats, single-device and sharded D ∈ {2, 4}. Interleaved points
-    // execute the conversion-elided plan (the batch is handed over
-    // pre-interleaved).
-    const LAYOUT_POINTS: &[(usize, usize)] = &[(64, 512), (1024, 512), (2048, 64)];
-    for (label, choice) in [
-        ("contiguous", LayoutChoice::Contiguous),
-        ("interleaved", LayoutChoice::Interleaved),
-    ] {
-        let config = GpuSolverConfig {
-            layout: choice,
-            ..Default::default()
-        };
-        let forced = GpuTridiagSolver::new(device.clone(), config);
-        for &(m, n) in LAYOUT_POINTS {
-            let before = problems.len();
-            let solo = forced.plan_geometry(m, n, 8).map_err(|e| e.to_string())?;
-            let report = tridiag_gpu::verify_plan(device, &solo);
-            for f in &report.findings {
-                problems.push(format!("m={m} n={n} f64 --layout {label}: {f}"));
-            }
-            let run = executed_verify_problems::<f64>(device, None, config, m, n)
-                .map_err(Failure::Error)?;
-            for p in run {
-                problems.push(format!("m={m} n={n} f64 --layout {label} (executed): {p}"));
-            }
-            verified += 1;
-            for &devices in &[2usize, 4] {
-                let group = DeviceGroup::homogeneous(device.clone(), devices)
-                    .map_err(|e| e.to_string())?;
-                let sharded = forced
-                    .plan_geometry_group(&group, m, n, 8)
-                    .map_err(|e| e.to_string())?;
-                let sreport = tridiag_gpu::verify_distributed_plan(&group, &sharded);
-                for msg in sreport.messages() {
-                    problems.push(format!(
-                        "m={m} n={n} f64 D={devices} --layout {label}: {msg}"
-                    ));
-                }
-                let run = executed_verify_problems::<f64>(device, Some(&group), config, m, n)
-                    .map_err(Failure::Error)?;
-                for p in run {
-                    problems.push(format!(
-                        "m={m} n={n} f64 D={devices} --layout {label} (executed): {p}"
-                    ));
-                }
-                verified += 1;
-            }
-            println!(
-                "m={m:<5} n={n:<6} f64 --layout {label}: layout={:?} D=1,2,4  {}",
-                solo.layout,
-                if problems.len() == before { "prediction=exact" } else { "FINDINGS" },
-            );
-        }
-    }
-    println!(
-        "{verified} plans statically certified and executed; \
-         certificates cross-checked against measured stats"
-    );
-    if !problems.is_empty() {
-        return Err(Failure::Findings(format!(
-            "verify sweep:\n  - {}",
-            problems.join("\n  - ")
-        )));
-    }
-    Ok(())
-}
-
-/// The canned corruption suite: hand-break a known-good plan one way
-/// per diagnostic class and demand the verifier catches each with the
-/// right [`tridiag_gpu::FindingKind`]. All classes firing is the
-/// *expected* outcome (exit 2, findings printed); a missing diagnostic
-/// means the verifier regressed (exit 1).
-fn verify_negative(device: &DeviceSpec) -> Result<(), Failure> {
-    use tridiag_gpu::plan::{BufferDecl, KernelOp, Step};
-    use tridiag_gpu::FindingKind;
-
-    let solver = GpuTridiagSolver::new(device.clone(), GpuSolverConfig::default());
-    // 64 x 512 f64 plans the split (tiled-PCR + pThomas) pipeline on
-    // every shipped device: 11 slots, two launches — enough structure
-    // to break in every direction.
-    let base = solver.plan_geometry(64, 512, 8).map_err(|e| e.to_string())?;
-    if base.launches().count() != 2 {
-        return Err(Failure::Error(
-            "negative suite expects the split pipeline at 64x512 f64".into(),
-        ));
-    }
-    let tiled_at = base
-        .steps
-        .iter()
-        .position(|s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::TiledPcr { .. })))
-        .ok_or_else(|| Failure::Error("no tiled_pcr launch in the base plan".into()))?;
-    let thomas_at = base
-        .steps
-        .iter()
-        .position(|s| matches!(s, Step::Launch(l) if matches!(l.op, KernelOp::PThomas { .. })))
-        .ok_or_else(|| Failure::Error("no p_thomas launch in the base plan".into()))?;
-
-    // Each case: a label, a corrupted plan, and the diagnostic class
-    // that must fire.
-    let mut cases: Vec<(&str, tridiag_gpu::SolvePlan, FindingKind)> = Vec::new();
-
-    let mut p = base.clone();
-    if let Step::Launch(l) = &mut p.steps[tiled_at] {
-        if let KernelOp::TiledPcr { input, .. } = &mut l.op {
-            input[0] = 9; // c' scratch — allocated only after this launch
-        }
-    }
-    cases.push(("read of a slot defined later", p, FindingKind::UseBeforeDef));
-
-    let mut p = base.clone();
-    if let Step::Launch(l) = &mut p.steps[tiled_at] {
-        if let KernelOp::TiledPcr { input, .. } = &mut l.op {
-            input[0] = 4; // x — allocated, but nothing has written it yet
-        }
-    }
-    cases.push((
-        "read of allocated-but-unwritten scratch",
-        p,
-        FindingKind::UnwrittenScratchRead,
-    ));
-
-    let mut p = base.clone();
-    let x_alloc = p
-        .steps
-        .iter()
-        .position(|s| matches!(s, Step::Alloc { slot: 4 }))
-        .ok_or_else(|| Failure::Error("no Alloc{slot: 4} in the base plan".into()))?;
-    p.steps.insert(x_alloc + 1, Step::Alloc { slot: 4 });
-    cases.push(("second definition of a live slot", p, FindingKind::DuplicateDef));
-
-    let mut p = base.clone();
-    for s in &mut p.steps {
-        if let Step::ConvertBack { from } = s {
-            *from = match *from {
-                tridiag_core::Layout::Contiguous => tridiag_core::Layout::Interleaved,
-                tridiag_core::Layout::Interleaved => tridiag_core::Layout::Contiguous,
-            };
-        }
-    }
-    cases.push(("convert-back from the wrong layout", p, FindingKind::LayoutMismatch));
-
-    let mut p = base.clone();
-    if let Step::Launch(l) = &mut p.steps[thomas_at] {
-        if let KernelOp::PThomas { a, x, .. } = &mut l.op {
-            *x = *a; // output aliases an input within one launch
-        }
-    }
-    cases.push(("kernel output aliasing an input", p, FindingKind::AliasHazard));
-
-    let mut p = base.clone();
-    p.buffers.push(BufferDecl { name: "orphan", elems: 64 });
-    p.steps.insert(x_alloc, Step::Alloc { slot: p.buffers.len() - 1 });
-    cases.push(("allocated slot that nothing ever uses", p, FindingKind::DanglingSlot));
-
-    let mut p = base.clone();
-    if let Some(Step::Download { slot }) =
-        p.steps.iter_mut().find(|s| matches!(s, Step::Download { .. }))
-    {
-        *slot = 99;
-    }
-    cases.push(("bind of a slot beyond the buffer table", p, FindingKind::SlotOutOfRange));
-
-    let mut findings = Vec::new();
-    let mut missing = Vec::new();
-    for (label, plan, kind) in &cases {
-        let report = tridiag_gpu::verify_plan(device, plan);
-        match report.findings.iter().find(|f| f.kind == *kind) {
-            Some(f) => findings.push(format!("{label}: caught: {f}")),
-            None => missing.push(format!("{label}: expected {kind}, verifier stayed clean")),
-        }
-    }
-
-    // Peak-memory overflow: the certificate against a 1 KiB device.
-    let mut tiny = device.clone();
-    tiny.global_mem_bytes = 1024;
-    let report = tridiag_gpu::verify_plan(&tiny, &base);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::PeakMemoryOverflow)
-    {
-        Some(f) => findings.push(format!("peak exceeding device memory: caught: {f}")),
-        None => missing.push("peak exceeding device memory: expected peak-memory-overflow".into()),
-    }
-
-    // Sharded corruptions: a broken partition and a drifted pinned k.
-    let group = DeviceGroup::homogeneous(device.clone(), 2).map_err(|e| e.to_string())?;
-    let sharded = solver
-        .plan_geometry_group(&group, 64, 512, 8)
-        .map_err(|e| e.to_string())?;
-    let mut p = sharded.clone();
-    p.parts[1].start += 1;
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ShardPartition)
-    {
-        Some(f) => findings.push(format!("gapped shard partition: caught: {f}")),
-        None => missing.push("gapped shard partition: expected shard-partition".into()),
-    }
-    let mut p = sharded.clone();
-    if let Some(plan) = &mut p.parts[0].plan {
-        plan.k += 1;
-    }
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ShardConsistency)
-    {
-        Some(f) => findings.push(format!("shard k drifting off the pin: caught: {f}")),
-        None => missing.push("shard k drifting off the pin: expected shard-consistency".into()),
-    }
-
-    // Distributed corruptions: one per new diagnostic class, each
-    // demanded to fire with chunk attribution where one applies.
-    let dbase = solver
-        .plan_geometry_split(&group, 512, 8)
-        .map_err(|e| e.to_string())?;
-    let mut p = dbase.clone();
-    p.parts[0].plan = None;
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::InterfaceExchange && f.part == Some(0))
-    {
-        Some(f) => findings.push(format!("interface used before defined: caught: {f}")),
-        None => missing.push(
-            "interface used before defined: expected chunk-attributed interface-exchange".into(),
-        ),
-    }
-    let mut p = dbase.clone();
-    p.parts[1].start += 1;
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ChunkPartition && f.part == Some(1))
-    {
-        Some(f) => findings.push(format!("gapped chunk partition: caught: {f}")),
-        None => missing
-            .push("gapped chunk partition: expected chunk-attributed chunk-partition".into()),
-    }
-    let mut p = dbase.clone();
-    p.reduced = Some(
-        solver
-            .plan_geometry(1, 2 * group.len() - 1, 8)
-            .map_err(|e| e.to_string())?,
-    );
-    let report = tridiag_gpu::verify_distributed_plan(&group, &p);
-    match report
-        .findings
-        .iter()
-        .find(|f| f.kind == FindingKind::ReducedSystem)
-    {
-        Some(f) => findings.push(format!("reduced system of the wrong size: caught: {f}")),
-        None => missing.push("reduced system of the wrong size: expected reduced-system".into()),
-    }
-
-    if !missing.is_empty() {
-        return Err(Failure::Error(format!(
-            "verifier failed to diagnose:\n  - {}",
-            missing.join("\n  - ")
-        )));
-    }
-    println!(
-        "{} corruption(s) injected, every diagnostic class fired:",
-        findings.len()
-    );
-    Err(Failure::Findings(format!("  - {}", findings.join("\n  - "))))
+    verify_outcome(report.findings.iter().map(|f| f.to_string()).collect())
 }
 
 /// Validate and write a Chrome-trace document; schema violations are
@@ -1518,7 +955,7 @@ fn cmd_lint(a: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_compare(a: &Args) -> Result<(), String> {
+fn cmd_compare(a: &Args) -> Result<(), Failure> {
     let m: usize = a.get_or("m", 16)?;
     let n: usize = a.get_or("n", 512)?;
     let seed: u64 = a.get_or("seed", 42u64)?;
@@ -1556,7 +993,7 @@ fn cmd_compare(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tune(a: &Args) -> Result<(), String> {
+fn cmd_tune(a: &Args) -> Result<(), Failure> {
     let n: usize = a.get_or("n", 4096)?;
     let k_max: u32 = a.get_or("k-max", 8u32)?;
     let m_values = a
@@ -1564,19 +1001,10 @@ fn cmd_tune(a: &Args) -> Result<(), String> {
         .unwrap_or_else(|| vec![1, 16, 64, 256, 1024]);
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
     let layout = layout_choice(a)?;
-    let points = if let Some(group) = device_group(a, &device)? {
-        println!(
-            "tuning k on simulated {} ({} device(s)) at N = {n}…",
-            group.label(),
-            group.len()
-        );
-        autotune::tune_sharded_with_layout::<f64>(&group, &m_values, n, k_max, layout)
-            .map_err(|e| e.to_string())?
-    } else {
-        println!("tuning k on simulated {} at N = {n}…", device.name);
-        autotune::tune_with_layout::<f64>(&device, &m_values, n, k_max, layout)
-            .map_err(|e| e.to_string())?
-    };
+    let group = device_group(a, &device)?.unwrap_or_else(|| DeviceGroup::single(device));
+    println!("tuning k on simulated {} at N = {n}…", group.label());
+    let points = autotune::tune::<f64>(&group, &m_values, n, k_max, layout)
+        .map_err(|e| e.to_string())?;
     println!("{:>8} {:>8} {:>12} {:>12}", "M", "best k", "best [us]", "k=0 [us]");
     for p in points {
         println!(
@@ -1587,7 +1015,7 @@ fn cmd_tune(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(a: &Args) -> Result<(), String> {
+fn cmd_info(a: &Args) -> Result<(), Failure> {
     let device = device_by_name(a.get("device").unwrap_or("gtx480"))?;
     println!("device              : {}", device.name);
     println!("SMs                 : {}", device.num_sms);
@@ -1889,59 +1317,6 @@ fn write_telemetry(dir: &str, metrics: &str, events: &str, trace: &str) -> Resul
     Ok(())
 }
 
-/// `tridiag stats --negative` — inject one corruption per
-/// replay-diagnostic class into a copy of a clean event log and demand
-/// the validator fires on each: exit 2 = every diagnostic fired
-/// (reported as findings, mirroring `verify --negative`), exit 1 = a
-/// diagnostic was lost.
-fn stats_negative(log: &str) -> Result<(), Failure> {
-    if let Err(p) = tridiag_service::validate_event_log(log) {
-        return Err(Failure::Error(format!(
-            "baseline event log must replay cleanly, got:\n  - {}",
-            p.join("\n  - ")
-        )));
-    }
-    let completion = log
-        .lines()
-        .find(|l| l.contains("\"completion\""))
-        .ok_or_else(|| Failure::Error("workload produced no completion event".into()))?;
-    // A terminal for a cid far beyond any admitted id.
-    let orphan = r#"{"event":"completion","t_us":99.0,"cid":1152921504606846976,"batch":null,"precision":"f64","queue_us":0,"coalesce_us":0,"kernel_us":0,"scatter_us":0,"cache_hit":false,"coalesced_with":1}"#;
-    let cases = [
-        ("orphan terminal", format!("{log}{orphan}\n"), "orphan"),
-        (
-            "duplicate terminal",
-            format!("{log}{completion}\n"),
-            "duplicate terminal",
-        ),
-    ];
-    let mut fired = Vec::new();
-    let mut lost = Vec::new();
-    for (label, corrupted, keyword) in &cases {
-        match tridiag_service::validate_event_log(corrupted) {
-            Err(p) if p.iter().any(|m| m.contains(keyword)) => {
-                fired.push(format!("{label}: {}", p[0]));
-            }
-            Err(p) => lost.push(format!(
-                "{label}: validator fired without the expected diagnostic: {}",
-                p.join("; ")
-            )),
-            Ok(_) => lost.push(format!("{label}: validator accepted the corrupted log")),
-        }
-    }
-    if !lost.is_empty() {
-        return Err(Failure::Error(format!(
-            "replay validator failed to diagnose:\n  - {}",
-            lost.join("\n  - ")
-        )));
-    }
-    println!(
-        "{} corruption(s) injected, every replay diagnostic fired:",
-        cases.len()
-    );
-    Err(Failure::Findings(format!("  - {}", fired.join("\n  - "))))
-}
-
 /// `tridiag stats` — run a deterministic modeled workload through the
 /// service core and print the unified telemetry read-out: counter /
 /// gauge / histogram tables (top `--top` labels per family), the
@@ -1985,9 +1360,6 @@ fn cmd_stats(a: &Args) -> Result<(), Failure> {
     let telemetry = core.telemetry();
 
     let (metrics, events, trace, mut findings) = telemetry_artifacts(telemetry, "tridiag-stats");
-    if a.flag("negative") {
-        return stats_negative(&events);
-    }
     findings.extend(
         telemetry
             .cross_check(&report)
@@ -2118,6 +1490,64 @@ fn print_topk_row(
     }
 }
 
+/// Every subcommand with the options it reads. Any other option is a
+/// usage error, so a misspelt flag never silently does nothing.
+type Command = fn(&Args) -> Result<(), Failure>;
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "solve",
+        cmd_solve,
+        &[
+            "m", "n", "seed", "engine", "precision", "device", "devices", "split-n", "layout",
+            "verbose", "sanitize", "lint", "check", "trace", "json", "dry-run", "verify",
+        ],
+    ),
+    (
+        "plan",
+        cmd_plan,
+        &["m", "n", "precision", "device", "devices", "split-n", "layout", "json", "verify"],
+    ),
+    (
+        "verify",
+        cmd_verify,
+        &["m", "n", "precision", "device", "devices", "split-n", "layout", "json"],
+    ),
+    (
+        "profile",
+        cmd_profile,
+        &["m", "n", "precision", "device", "seed", "out", "zoo"],
+    ),
+    ("compare", cmd_compare, &["m", "n", "seed"]),
+    (
+        "tune",
+        cmd_tune,
+        &["n", "m-list", "k-max", "device", "devices", "layout"],
+    ),
+    ("info", cmd_info, &["device"]),
+    ("lint", cmd_lint, &["verbose"]),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "requests", "clients", "window", "depth", "m", "n", "precision", "device", "devices",
+            "seed", "telemetry",
+        ],
+    ),
+    (
+        "bench-service",
+        cmd_bench_service,
+        &["requests", "windows", "m", "n", "precision", "device", "devices", "seed"],
+    ),
+    (
+        "stats",
+        cmd_stats,
+        &[
+            "requests", "window", "m", "n", "seed", "precision", "device", "devices", "top",
+            "json", "out",
+        ],
+    ),
+];
+
 fn main() -> ExitCode {
     let args = match Args::from_env() {
         Ok(a) => a,
@@ -2126,30 +1556,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.flag("help") {
+    if args.flag("help") || args.command.as_deref() == Some("help") {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
     let result = match args.command.as_deref() {
-        Some("solve") => cmd_solve(&args),
-        Some("plan") => cmd_plan(&args),
-        Some("verify") => cmd_verify(&args),
-        Some("profile") => cmd_profile(&args),
-        Some("compare") => cmd_compare(&args).map_err(Failure::Error),
-        Some("tune") => cmd_tune(&args).map_err(Failure::Error),
-        Some("info") => cmd_info(&args).map_err(Failure::Error),
-        Some("lint") => cmd_lint(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("bench-service") => cmd_bench_service(&args),
-        Some("stats") => cmd_stats(&args),
-        Some("help") => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        Some(other) => Err(Failure::Error(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
+        Some(name) => match COMMANDS.iter().find(|(cmd, _, _)| *cmd == name) {
+            Some((_, run, known)) => match args.unknown_option(known) {
+                Some(opt) => Err(Failure::Error(format!(
+                    "{name}: unknown option --{opt}\n{}",
+                    usage()
+                ))),
+                None => run(&args),
+            },
+            None => Err(Failure::Error(format!(
+                "unknown command {name:?}\n{}",
+                usage()
+            ))),
+        },
         None => Err(Failure::Error(usage().to_string())),
     };
     match result {

@@ -66,6 +66,32 @@ fn bad_input_fails_with_usage() {
     let (ok3, _, stderr3) = run(&["solve", "--n", "banana"]);
     assert!(!ok3);
     assert!(stderr3.contains("cannot parse"), "{stderr3}");
+    // An option the subcommand does not read is a usage error naming
+    // it, never silently ignored.
+    for (args, opt) in [
+        (&["solve", "--m", "8", "--n", "256", "--sanitise"][..], "--sanitise"),
+        (&["verify", "--negative"][..], "--negative"),
+        (&["plan", "--sweep"][..], "--sweep"),
+        (&["stats", "--negative"][..], "--negative"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tridiag"))
+            .args(args)
+            .output()
+            .expect("spawn tridiag");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown option {opt}")), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn plan_json_validates_against_the_solve_plan_schema() {
+    let (ok, stdout, stderr) = run(&["plan", "--m", "64", "--n", "512", "--json"]);
+    assert!(ok, "stderr: {stderr}");
+    let doc = gpu_sim::json::parse(stdout.trim()).expect("plan --json prints one JSON document");
+    let problems = tridiag_gpu::validate_plan_json(&doc);
+    assert!(problems.is_empty(), "{problems:?}");
 }
 
 #[test]

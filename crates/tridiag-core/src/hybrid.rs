@@ -144,7 +144,7 @@ mod tests {
             TransitionPolicy::Gtx480Heuristic,
             TransitionPolicy::Fixed(0),
             TransitionPolicy::Fixed(4),
-            TransitionPolicy::CostModel {
+            TransitionPolicy::TableII {
                 parallelism: 21504,
                 k_max: 10,
             },

@@ -9,7 +9,7 @@
 //! Two decision procedures are provided:
 //! - [`TransitionPolicy::Gtx480Heuristic`] — the paper's empirical
 //!   Table III, keyed on the number of systems `M`.
-//! - [`TransitionPolicy::CostModel`] — minimise the Table II cost for a
+//! - [`TransitionPolicy::TableII`] — minimise the Table II cost for a
 //!   machine of parallelism `P` (useful for devices the paper never
 //!   measured; "finding proper values for different situations can be
 //!   done only once").
@@ -24,7 +24,7 @@ pub enum TransitionPolicy {
     Gtx480Heuristic,
     /// Minimise the Table II elimination-step cost for a `parallelism`-
     /// wide machine, searching `k ∈ 0..=k_max`.
-    CostModel {
+    TableII {
         /// Machine parallelism `P` (resident threads).
         parallelism: u64,
         /// Largest `k` the search may pick.
@@ -41,7 +41,7 @@ pub enum TransitionPolicy {
 pub fn choose_k(policy: TransitionPolicy, m: usize, n: usize) -> u32 {
     let k = match policy {
         TransitionPolicy::Gtx480Heuristic => cost_model::gtx480_heuristic_k(m as u64),
-        TransitionPolicy::CostModel { parallelism, k_max } => {
+        TransitionPolicy::TableII { parallelism, k_max } => {
             cost_model::optimal_k(m as u64, n as u64, parallelism, k_max)
         }
         TransitionPolicy::Fixed(k) => k,
@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn cost_model_matches_paper_direction() {
-        let p = TransitionPolicy::CostModel {
+        let p = TransitionPolicy::TableII {
             parallelism: 21504, // GTX480 resident threads (15 SMs × 1436+)
             k_max: 10,
         };

@@ -10,10 +10,8 @@
 
 use crate::buffers::GpuScalar;
 use crate::distributed::{DistributedExecutor, DistributedPlan, Split};
-use crate::executor::PlanExecutor;
-use crate::plan::SolvePlan;
 use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
-use gpu_sim::{DeviceGroup, DeviceSpec, ExecConfig, Result};
+use gpu_sim::{DeviceGroup, ExecConfig, Result};
 use tridiag_core::generators::random_batch;
 use tridiag_core::transition::{max_k_for, TransitionPolicy};
 
@@ -32,77 +30,20 @@ pub struct TunePoint {
     pub k0_us: f64,
 }
 
-/// The config that probes a fixed `k` under `layout`.
-fn candidate_config(k: u32, layout: LayoutChoice) -> GpuSolverConfig {
-    GpuSolverConfig {
-        policy: TransitionPolicy::Fixed(k),
-        mapping: MappingVariant::Auto,
-        layout,
-        ..Default::default()
-    }
-}
-
-/// Modeled time of solving an `(m, n)` batch with a fixed `k`.
-pub fn modeled_time_for_k<S: GpuScalar>(
-    spec: &DeviceSpec,
-    m: usize,
-    n: usize,
-    k: u32,
-    seed: u64,
-) -> Result<f64> {
-    let config = candidate_config(k, LayoutChoice::Auto);
-    let plan = SolvePlan::build(spec, &config, m, n, <S as gpu_sim::Elem>::BYTES)?;
-    let batch = random_batch::<S>(m, n, seed);
-    let mut executor = PlanExecutor::new(spec.clone(), plan.config.exec);
-    let (_, report) = executor.run(&plan, &batch)?;
-    Ok(report.total_us)
-}
-
 /// Search `k ∈ 0..=k_max` for the fastest configuration at each `m`:
-/// enumerate one candidate plan per feasible `k`, execute them all
-/// uniformly through the plan executor on the same probe batch, and
-/// rank by modeled time (earliest `k` wins ties).
-pub fn tune<S: GpuScalar>(
-    spec: &DeviceSpec,
-    m_values: &[usize],
-    n: usize,
-    k_max: u32,
-) -> Result<Vec<TunePoint>> {
-    tune_with_layout::<S>(spec, m_values, n, k_max, LayoutChoice::Auto)
-}
-
-/// [`tune`] with the planner's layout choice pinned. Forcing
+/// enumerate one candidate plan per feasible `k`, each a
+/// [`Split::Systems`] [`DistributedPlan`] with the fixed `k` pinned into
+/// every shard, execute them all through the [`DistributedExecutor`] on
+/// the same probe batch, and rank by modeled time — the group's kernel
+/// wall-clock, max over devices, not a sum (earliest `k` wins ties).
+/// [`DeviceGroup::single`] tunes one device.
+///
+/// `layout` pins the planner's layout choice into every shard. Forcing
 /// `Interleaved` collapses the search (every `k` candidate is the pure
 /// p-Thomas plan, so `best_k` is always 0); forcing `Contiguous` ranks
 /// the uncoalesced strawman at `k = 0` against the hybrid pipelines.
-pub fn tune_with_layout<S: GpuScalar>(
-    spec: &DeviceSpec,
-    m_values: &[usize],
-    n: usize,
-    k_max: u32,
-    layout: LayoutChoice,
-) -> Result<Vec<TunePoint>> {
-    tune_sharded_with_layout::<S>(&DeviceGroup::single(spec.clone()), m_values, n, k_max, layout)
-}
-
-/// [`tune`] across a [`DeviceGroup`]: each candidate `k` is planned as
-/// a [`Split::Systems`] [`DistributedPlan`] (the fixed `k` pinned into
-/// every shard) and executed through the [`DistributedExecutor`], so
-/// the ranking metric is the group's modeled kernel wall-clock — max
-/// over devices, not a sum. A one-device group is exactly [`tune`].
 /// Planning failures (e.g. `m <` device count) propagate typed.
-pub fn tune_sharded<S: GpuScalar>(
-    group: &DeviceGroup,
-    m_values: &[usize],
-    n: usize,
-    k_max: u32,
-) -> Result<Vec<TunePoint>> {
-    tune_sharded_with_layout::<S>(group, m_values, n, k_max, LayoutChoice::Auto)
-}
-
-/// [`tune_sharded`] with the planner's layout choice pinned into every
-/// shard (see [`tune_with_layout`] for the single-device semantics).
-pub fn tune_sharded_with_layout<S: GpuScalar>(
+pub fn tune<S: GpuScalar>(
     group: &DeviceGroup,
     m_values: &[usize],
     n: usize,
@@ -115,7 +56,12 @@ pub fn tune_sharded_with_layout<S: GpuScalar>(
         let bytes = <S as gpu_sim::Elem>::BYTES;
         let candidates: Vec<(u32, DistributedPlan)> = (0..=cap)
             .map(|k| {
-                let config = candidate_config(k, layout);
+                let config = GpuSolverConfig {
+                    policy: TransitionPolicy::Fixed(k),
+                    mapping: MappingVariant::Auto,
+                    layout,
+                    ..Default::default()
+                };
                 DistributedPlan::build(group, &config, Split::Systems, m, n, bytes)
                     .map(|p| (k, p))
             })
@@ -150,6 +96,7 @@ pub fn tune_sharded_with_layout<S: GpuScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::DeviceSpec;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
@@ -159,27 +106,23 @@ mod tests {
         // solving the full batch (same probe batch, same k grid).
         let spec = DeviceSpec::gtx480();
         let group = DeviceGroup::homogeneous(spec.clone(), 2).unwrap();
-        let solo = tune::<f64>(&spec, &[64], 2048, 8).unwrap();
-        let duo = tune_sharded::<f64>(&group, &[64], 2048, 8).unwrap();
+        let single = DeviceGroup::single(spec);
+        let solo = tune::<f64>(&single, &[64], 2048, 8, LayoutChoice::Auto).unwrap();
+        let duo = tune::<f64>(&group, &[64], 2048, 8, LayoutChoice::Auto).unwrap();
         assert!(
             duo[0].best_us < solo[0].best_us,
             "sharded best {} us !< single-device best {} us",
             duo[0].best_us,
             solo[0].best_us
         );
-        // D == 1 sharded tuning is the identity.
-        let single = DeviceGroup::single(spec);
-        let same = tune_sharded::<f64>(&single, &[64], 2048, 8).unwrap();
-        assert_eq!(same[0].best_k, solo[0].best_k);
-        assert_eq!(same[0].best_us, solo[0].best_us);
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "slow simulation; run with --release")]
     fn tuned_k_decreases_with_m() {
         // The defining shape of Table III: fewer systems -> deeper PCR.
-        let spec = DeviceSpec::gtx480();
-        let points = tune::<f64>(&spec, &[1, 64, 4096], 2048, 8).unwrap();
+        let single = DeviceGroup::single(DeviceSpec::gtx480());
+        let points = tune::<f64>(&single, &[1, 64, 4096], 2048, 8, LayoutChoice::Auto).unwrap();
         assert!(points[0].best_k >= points[1].best_k);
         assert!(points[1].best_k >= points[2].best_k);
         // Saturated batches want pure p-Thomas.

@@ -47,7 +47,7 @@ use crate::buffers::GpuScalar;
 use crate::executor::{kernel_spans, PlanExecutor};
 use crate::plan::{validate_plan_json, SolvePlan, Step};
 use crate::solver::{
-    CostModel, DistributedSummary, GpuSolveReport, GpuSolverConfig, KernelReport, LayoutChoice,
+    DistributedSummary, GpuSolveReport, GpuSolverConfig, KernelReport, LayoutChoice,
     MappingVariant, ShardSummary,
 };
 use crate::verify::{structure_findings, verify_distributed_plan, Geometry, PartShape, PlanShape};
@@ -165,15 +165,14 @@ impl Pinned {
         }
     }
 
-    /// `base` with these decisions fixed. The cost model is switched to
-    /// `Legacy` so the pinned decisions replay verbatim instead of being
-    /// re-scored at another batch size; per-device clamps still apply.
+    /// `base` with these decisions fixed, so they replay verbatim
+    /// instead of being re-decided at another batch size; per-device
+    /// clamps still apply.
     pub fn config(&self, base: &GpuSolverConfig) -> GpuSolverConfig {
         GpuSolverConfig {
             policy: TransitionPolicy::Fixed(self.k),
             mapping: self.mapping,
             fused: self.fused,
-            cost: CostModel::Legacy,
             layout: LayoutChoice::pin(self.layout),
             ..*base
         }
@@ -1271,13 +1270,10 @@ mod tests {
 
     #[test]
     fn systems_split_pins_the_reference_layout() {
-        // Under the transaction model the full batch at m = 1024 picks
-        // interleaved p-Thomas; a 4-way shard (m = 256) on its own would
-        // pick the hybrid — pinning keeps every shard on the reference.
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
+        // The full batch at m = 1024 picks interleaved p-Thomas; a
+        // 4-way shard (m = 256) on its own would pick the hybrid —
+        // pinning keeps every shard on the reference.
+        let cfg = GpuSolverConfig::default();
         let p = DistributedPlan::build(&group_of(4), &cfg, Split::Systems, 1024, 512, 8).unwrap();
         let pinned = p.pinned.unwrap();
         assert_eq!(pinned.layout, Layout::Interleaved);

@@ -34,8 +34,8 @@ pub use executor::PlanExecutor;
 pub use hash::solution_hash;
 pub use plan::{validate_plan_json, SolvePlan, Step};
 pub use solver::{
-    CostModel, DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver,
-    LayoutChoice, MappingVariant, ShardSummary,
+    DistributedSummary, GpuSolveReport, GpuSolverConfig, GpuTridiagSolver, LayoutChoice,
+    MappingVariant, ShardSummary,
 };
 pub use verify::{
     verify_distributed_plan, verify_plan, DistributedVerifyReport, DynamicPlanStats, FindingKind,

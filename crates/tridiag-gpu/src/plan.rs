@@ -20,10 +20,10 @@
 //! - every launch binding refers to a slot created by an earlier step;
 //! - exactly one download, after the last launch.
 
-use crate::consts::{REGS_FUSED, REGS_PTHOMAS, REGS_TILED_PCR};
+use crate::consts::{PTHOMAS_BLOCK, REGS_FUSED, REGS_PTHOMAS, REGS_TILED_PCR};
 use crate::kernels::p_thomas::AddrMap;
 use crate::kernels::tiled_pcr::{StreamSlot, TiledPcrKernel};
-use crate::solver::{CostModel, GpuSolverConfig, MappingVariant};
+use crate::solver::{GpuSolverConfig, MappingVariant};
 use gpu_sim::json::schema::Check;
 use gpu_sim::{DeviceSpec, Json, Result, SimError};
 use tridiag_core::Layout;
@@ -334,7 +334,7 @@ impl SolvePlan {
             }
         };
         // Every pipeline decision — layout, mapping, fusion, k — is
-        // made in one place, by the cost module.
+        // made in one place, by the decision module.
         let decision = cost::decide(spec, config, m, n, elem_bytes);
         let k = decision.k;
         // Elide conversions when the batch arrives already interleaved
@@ -385,8 +385,8 @@ impl SolvePlan {
             };
             steps.push(Step::Launch(LaunchStep {
                 name: "p_thomas",
-                grid_blocks: m.div_ceil(config.pthomas_block as usize),
-                threads_per_block: config.pthomas_block.min(m as u32).max(1),
+                grid_blocks: m.div_ceil(PTHOMAS_BLOCK as usize),
+                threads_per_block: PTHOMAS_BLOCK.min(m as u32).max(1),
                 regs_per_thread: REGS_PTHOMAS,
                 op: KernelOp::PThomas {
                     a,
@@ -482,7 +482,7 @@ impl SolvePlan {
                 let dp = create(&mut buffers, &mut steps, "d_prime", None);
                 let map = AddrMap::HybridSubsystems { m, n, k };
                 let total_threads = map.num_threads();
-                let tpb = config.pthomas_block.min(total_threads as u32).max(1);
+                let tpb = PTHOMAS_BLOCK.min(total_threads as u32).max(1);
                 steps.push(Step::Launch(LaunchStep {
                     name: "p_thomas",
                     grid_blocks: total_threads.div_ceil(tpb as usize),
@@ -654,7 +654,7 @@ impl SolvePlan {
             self.m, self.n, self.precision, self.device
         );
         // The legacy line stays byte-identical (pinned by the golden
-        // snapshots); non-default host layout / cost model append.
+        // snapshots); a non-default host layout appends.
         let _ = write!(
             s,
             "  k={} mapping={:?} fused={} layout={:?}",
@@ -662,9 +662,6 @@ impl SolvePlan {
         );
         if self.host_layout != Layout::Contiguous {
             let _ = write!(s, " host={:?}", self.host_layout);
-        }
-        if self.config.cost != CostModel::Legacy {
-            let _ = write!(s, " cost={:?}", self.config.cost);
         }
         let _ = writeln!(s);
         let _ = writeln!(
@@ -726,7 +723,7 @@ impl SolvePlan {
     }
 
     /// Serialize the plan as a JSON object (schema
-    /// `tridiag.solve_plan/v2`); [`validate_plan_json`] checks the
+    /// `tridiag.solve_plan/v3`); [`validate_plan_json`] checks the
     /// shape.
     pub fn to_json(&self) -> Json {
         let buffers = self
@@ -801,10 +798,6 @@ impl SolvePlan {
                 "host_layout".into(),
                 Json::str(format!("{:?}", self.host_layout)),
             ),
-            (
-                "cost_model".into(),
-                Json::str(format!("{:?}", self.config.cost)),
-            ),
             ("device_elems".into(), Json::num(self.device_elems() as f64)),
             ("device_bytes".into(), Json::num(self.device_bytes() as f64)),
             ("buffers".into(), Json::Arr(buffers)),
@@ -814,16 +807,14 @@ impl SolvePlan {
 }
 
 /// Schema identifier emitted by [`SolvePlan::to_json`]. `v2` added
-/// the `host_layout` and `cost_model` dimensions; `v1` documents are
-/// rejected outright (the schema string is matched exactly).
-pub const PLAN_SCHEMA: &str = "tridiag.solve_plan/v2";
-
-/// Cost-model names accepted by the plan validators (the `Debug`
-/// renderings of [`CostModel`]).
-const COST_MODELS: &[&str] = &["Legacy", "Transactions"];
+/// the `host_layout` dimension and a cost-model name; `v3` dropped the
+/// cost-model name, since one decision rule plans every solve.
+/// Older documents are rejected outright (the schema string is matched
+/// exactly).
+pub const PLAN_SCHEMA: &str = "tridiag.solve_plan/v3";
 
 /// Validate a parsed plan document against the
-/// `tridiag.solve_plan/v2` schema. Returns every problem found (empty
+/// `tridiag.solve_plan/v3` schema. Returns every problem found (empty
 /// = valid). Used by the CLI `plan` smoke to catch schema drift.
 pub fn validate_plan_json(doc: &Json) -> Vec<String> {
     const LAYOUTS: &[&str] = &["Contiguous", "Interleaved"];
@@ -832,7 +823,6 @@ pub fn validate_plan_json(doc: &Json) -> Vec<String> {
     c.req_strs(&["device", "precision", "mapping"]);
     c.str_enum("layout", LAYOUTS);
     c.str_enum("host_layout", LAYOUTS);
-    c.str_enum("cost_model", COST_MODELS);
     c.req_uints(&["m", "n", "elem_bytes", "k", "device_elems", "device_bytes"]);
     c.req_bool("fused");
     let bufs = c.req_arr("buffers");
@@ -1095,12 +1085,12 @@ mod tests {
 
     #[test]
     fn json_validator_rejects_v1_documents() {
-        // v1 documents (no host_layout/cost_model, old schema string)
-        // must fail strictly, not be absorbed.
+        // v1 documents (no host_layout, old schema string) must fail
+        // strictly, not be absorbed.
         let plan = gtx480_plan(64, 512, 8);
         let mut doc = plan.to_json();
         if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "host_layout" && k != "cost_model");
+            fields.retain(|(k, _)| k != "host_layout");
             for (k, v) in fields.iter_mut() {
                 if k == "schema" {
                     *v = Json::str("tridiag.solve_plan/v1");
@@ -1119,19 +1109,21 @@ mod tests {
     }
 
     #[test]
-    fn json_validator_rejects_out_of_enum_cost_model() {
+    fn json_validator_rejects_v2_documents() {
+        // v2 documents are rejected on the schema string, the same way
+        // v1 documents are.
         let plan = gtx480_plan(64, 512, 8);
         let mut doc = plan.to_json();
         if let Json::Obj(fields) = &mut doc {
             for (k, v) in fields.iter_mut() {
-                if k == "cost_model" {
-                    *v = Json::str("Vibes");
+                if k == "schema" {
+                    *v = Json::str("tridiag.solve_plan/v2");
                 }
             }
         }
         let problems = validate_plan_json(&doc);
         assert!(
-            problems.iter().any(|p| p.contains("cost_model")),
+            problems.iter().any(|p| p.contains("schema")),
             "{problems:?}"
         );
     }

@@ -1,32 +1,24 @@
-//! The layout-aware plan cost model: enumerate candidate
-//! `(layout, mapping, fused, k)` pipelines and price each with
-//! closed-form transaction/serialization/transfer estimates.
+//! The plan decision module: one rule resolves every pipeline decision
+//! `(layout, mapping, fused, k)`, and a closed-form transaction count
+//! prices the p-Thomas layouts for the layout ablation.
 //!
-//! Before this module, global-memory layout was an implied consequence
-//! of the transition rule: `k = 0` meant "convert to interleaved and
-//! run p-Thomas", `k > 0` meant "stay contiguous and run the hybrid".
-//! Here layout is an explicit, independently chosen dimension:
-//! [`decide`] resolves every pipeline decision in one place, either by
-//! replaying the legacy procedure exactly
-//! ([`CostModel::Legacy`] — pinned byte-for-byte by the golden plan
-//! snapshots) or by scoring every candidate tuple
-//! ([`CostModel::Transactions`]) and taking the deterministic argmin.
+//! The rule is the paper's (Section III-D, Table III): `k` comes from
+//! the transition policy, clamped to the device, and the layout follows
+//! from `k` — `k = 0` converts to interleaved and runs p-Thomas alone,
+//! `k > 0` stays contiguous and runs the hybrid. [`decide`] is that
+//! rule in one place; an explicit [`GpuSolverConfig::layout`] pins the
+//! layout instead (the golden plan snapshots pin the default
+//! byte-for-byte).
 //!
-//! The memory term reuses the coalesce lint's exact closed form
-//! ([`gpu_sim::lint::coalesce::coalesced_minimum`]): an interleaved
-//! p-Thomas row access by `m` lanes costs exactly
+//! [`pthomas_transactions`] reuses the coalesce lint's exact closed
+//! form ([`gpu_sim::lint::coalesce::coalesced_minimum`]): an
+//! interleaved p-Thomas row access by `m` lanes costs exactly
 //! `coalesced_minimum(m, warp, elem, segment)` transactions, the
-//! contiguous strawman costs up to `m` (one segment per lane once
-//! `n·elem ≥ segment`), and the hybrid's PCR stage moves the four
-//! coefficient arrays twice at the coalesced minimum. The
-//! serialization term charges each serial round (Thomas rows, PCR
-//! levels) `max(1, P / active_threads)` — a pipeline that leaves the
-//! device mostly idle pays for it. The transfer term is the PCIe-side
-//! 5·m·n·e bytes (4 uploads + 1 download) in segment units; it is
-//! layout-independent but keeps costs absolute.
+//! contiguous strawman up to `m` (one segment per lane once
+//! `n·elem ≥ segment`).
 
 use crate::kernels::tiled_pcr::TiledPcrKernel;
-use crate::solver::{CostModel, GpuSolverConfig, LayoutChoice, MappingVariant};
+use crate::solver::{GpuSolverConfig, LayoutChoice, MappingVariant};
 use gpu_sim::lint::coalesce::coalesced_minimum;
 use gpu_sim::DeviceSpec;
 use tridiag_core::transition::{choose_k, max_k_for};
@@ -46,29 +38,8 @@ pub struct Decision {
     pub k: u32,
 }
 
-/// A candidate decision with its modeled price, in enumeration order
-/// (exposed for the bench's layout table and the acceptance gate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// The decision being priced.
-    pub decision: Decision,
-    /// Exact global-memory transactions the pipeline's kernels move.
-    pub transactions: u64,
-    /// Serialization term: serial rounds weighted by device idleness.
-    pub serialization: u64,
-    /// Host↔device transfer term (segment units, layout-independent).
-    pub transfer: u64,
-}
-
-impl Candidate {
-    /// Total modeled cost — the argmin key.
-    pub fn cost(&self) -> u64 {
-        self.transactions + self.serialization + self.transfer
-    }
-}
-
 /// Clamp a requested `k` to the device: shared-memory window capacity,
-/// system length, and block width — exactly the legacy clamp sequence.
+/// system length, and block width, in that order.
 fn clamp_k(spec: &DeviceSpec, c: usize, elem_bytes: usize, n: usize, requested: u32) -> u32 {
     let mut k = requested
         .min(crate::plan::max_k_for_shared(spec, c, elem_bytes))
@@ -179,83 +150,15 @@ pub fn pthomas_transactions(
     9 * n as u64 * per_access
 }
 
-/// Price every candidate pipeline for the geometry under `choice`, in
-/// the fixed enumeration order the argmin tie-breaks on: interleaved
-/// p-Thomas, contiguous strawman p-Thomas, then the hybrid at each
-/// admissible `k ≥ 1`.
-pub fn candidates(
-    spec: &DeviceSpec,
-    config: &GpuSolverConfig,
-    m: usize,
-    n: usize,
-    elem_bytes: usize,
-    choice: LayoutChoice,
-) -> Vec<Candidate> {
-    let p = spec.parallelism();
-    let seg = spec.transaction_bytes as u64;
-    let warp = spec.warp_size as usize;
-    let transfer = (5 * m * n * elem_bytes) as u64 / seg;
-    // A pipeline serialized over `rounds` with `active` threads leaves
-    // the rest of the device's parallelism P idle; weight each round
-    // by that idleness so a fully-occupied round costs 1.
-    let serialization = |rounds: u64, active: u64| rounds * (p / active.max(1)).max(1);
-
-    let mut out = Vec::new();
-    if choice != LayoutChoice::Contiguous {
-        out.push(Candidate {
-            decision: pthomas_decision(Layout::Interleaved),
-            transactions: pthomas_transactions(spec, Layout::Interleaved, m, n, elem_bytes),
-            serialization: serialization(9 * n as u64, m as u64),
-            transfer,
-        });
-    }
-    if choice != LayoutChoice::Interleaved {
-        out.push(Candidate {
-            decision: pthomas_decision(Layout::Contiguous),
-            transactions: pthomas_transactions(spec, Layout::Contiguous, m, n, elem_bytes),
-            serialization: serialization(9 * n as u64, m as u64),
-            transfer,
-        });
-        let c = config.sub_tile_scale.max(1);
-        let k_cap = clamp_k(spec, c, elem_bytes, n, u32::MAX);
-        for k in 1..=k_cap {
-            let decision = hybrid_decision(spec, config, m, n, elem_bytes, k);
-            // PCR reads and writes the four coefficient arrays once
-            // each, fully coalesced; p-Thomas then sweeps m·2^k
-            // interleaved subsystems of n/2^k rows.
-            let arrays = (m * n) as u64;
-            let pcr_txn = 8 * (arrays * elem_bytes as u64).div_ceil(seg);
-            let sub_m = m << k;
-            let sub_n = (n >> k).max(1);
-            let pth_txn = 9
-                * sub_n as u64
-                * coalesced_minimum(sub_m, warp, elem_bytes, spec.transaction_bytes);
-            out.push(Candidate {
-                decision,
-                transactions: pcr_txn + pth_txn,
-                // k PCR levels (4 coefficient updates each) plus the
-                // Thomas sweep's rows.
-                serialization: serialization(4 * k as u64 + 9 * sub_n as u64, sub_m as u64),
-                transfer,
-            });
-        }
-    }
-    out
-}
-
-/// Resolve every pipeline decision for one solve, deterministically.
+/// Resolve every pipeline decision for one solve, deterministically:
+/// `k` from the transition policy (device-clamped), layout implied by
+/// `k` (interleaved iff `k = 0`).
 ///
-/// - [`CostModel::Legacy`] replays the pre-cost-model procedure: `k`
-///   from the transition policy (device-clamped), layout implied by
-///   `k` (interleaved iff `k = 0`).
-/// - [`CostModel::Transactions`] prices every candidate via
-///   [`candidates`] and takes the strict argmin (first wins on ties).
-///
-/// An explicit [`GpuSolverConfig::layout`] restricts the candidate
-/// set under either model: `Interleaved` forces the pure coalesced
-/// p-Thomas pipeline (`k = 0` — tiled PCR addresses contiguous
-/// systems), `Contiguous` forces system-major buffers (under `Legacy`
-/// with `k = 0` that is the uncoalesced strawman p-Thomas).
+/// An explicit [`GpuSolverConfig::layout`] pins the layout:
+/// `Interleaved` forces the pure coalesced p-Thomas pipeline (`k = 0` —
+/// tiled PCR addresses contiguous systems), `Contiguous` forces
+/// system-major buffers (with `k = 0` that is the uncoalesced strawman
+/// p-Thomas).
 pub fn decide(
     spec: &DeviceSpec,
     config: &GpuSolverConfig,
@@ -266,27 +169,16 @@ pub fn decide(
     if config.layout == LayoutChoice::Interleaved {
         return pthomas_decision(Layout::Interleaved);
     }
-    match config.cost {
-        CostModel::Legacy => {
-            let c = config.sub_tile_scale.max(1);
-            let k = clamp_k(spec, c, elem_bytes, n, choose_k(config.policy, m, n));
-            if k == 0 {
-                let layout = match config.layout {
-                    LayoutChoice::Contiguous => Layout::Contiguous,
-                    _ => Layout::Interleaved,
-                };
-                pthomas_decision(layout)
-            } else {
-                hybrid_decision(spec, config, m, n, elem_bytes, k)
-            }
-        }
-        CostModel::Transactions => {
-            let all = candidates(spec, config, m, n, elem_bytes, config.layout);
-            all.iter()
-                .min_by_key(|cand| cand.cost())
-                .map(|cand| cand.decision)
-                .unwrap_or_else(|| pthomas_decision(Layout::Interleaved))
-        }
+    let c = config.sub_tile_scale.max(1);
+    let k = clamp_k(spec, c, elem_bytes, n, choose_k(config.policy, m, n));
+    if k == 0 {
+        let layout = match config.layout {
+            LayoutChoice::Contiguous => Layout::Contiguous,
+            _ => Layout::Interleaved,
+        };
+        pthomas_decision(layout)
+    } else {
+        hybrid_decision(spec, config, m, n, elem_bytes, k)
     }
 }
 
@@ -339,14 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn transactions_model_picks_interleaved_at_large_m() {
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
-        let d = decide(&spec(), &cfg, 1024, 512, 8);
-        assert_eq!(d.layout, Layout::Interleaved);
-        assert_eq!(d.k, 0);
+    fn default_rule_picks_interleaved_at_large_m() {
+        let cfg = GpuSolverConfig::default();
+        for (m, n) in [(1024usize, 512usize), (2048, 64)] {
+            let d = decide(&spec(), &cfg, m, n, 8);
+            assert_eq!(d, pthomas_decision(Layout::Interleaved), "m={m} n={n}");
+        }
         // A lone huge system keeps the hybrid: serializing one thread
         // over 16384 rows would idle the whole device.
         let d = decide(&spec(), &cfg, 1, 16384, 8);
@@ -355,11 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn transactions_model_never_picks_the_strawman() {
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
+    fn default_rule_never_picks_the_strawman() {
+        let cfg = GpuSolverConfig::default();
         for (m, n) in [
             (1usize, 16384usize),
             (16, 1024),
@@ -390,22 +277,5 @@ mod tests {
             pthomas_transactions(&spec(), Layout::Interleaved, 1, 64, 8),
             pthomas_transactions(&spec(), Layout::Contiguous, 1, 64, 8),
         );
-    }
-
-    #[test]
-    fn candidate_enumeration_is_deterministic_and_ordered() {
-        let cfg = GpuSolverConfig {
-            cost: CostModel::Transactions,
-            ..Default::default()
-        };
-        let a = candidates(&spec(), &cfg, 64, 512, 8, LayoutChoice::Auto);
-        let b = candidates(&spec(), &cfg, 64, 512, 8, LayoutChoice::Auto);
-        assert_eq!(a, b);
-        assert_eq!(a[0].decision.layout, Layout::Interleaved);
-        assert_eq!(a[1].decision.layout, Layout::Contiguous);
-        assert_eq!(a[1].decision.k, 0);
-        assert!(a.len() > 2, "hybrid candidates missing");
-        let only_inter = candidates(&spec(), &cfg, 64, 512, 8, LayoutChoice::Interleaved);
-        assert_eq!(only_inter.len(), 1);
     }
 }

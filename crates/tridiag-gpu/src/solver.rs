@@ -19,7 +19,6 @@
 //! figure harness prints.
 
 use crate::buffers::GpuScalar;
-use crate::consts::PTHOMAS_BLOCK;
 use crate::distributed::{DistributedExecutor, DistributedPlan, Split};
 use crate::executor::PlanExecutor;
 use crate::plan::SolvePlan;
@@ -46,26 +45,11 @@ pub enum MappingVariant {
     MultiSystemPerBlock(usize),
 }
 
-/// How the planner scores candidate `(layout, mapping, fused, k)`
-/// tuples (see [`crate::plan::cost`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// The pre-cost-model decision procedure: `k` from the transition
-    /// policy, layout implied by `k` (interleaved iff `k = 0`). Pinned
-    /// byte-exactly by the golden plan snapshots.
-    #[default]
-    Legacy,
-    /// Enumerate every candidate tuple and pick the argmin of the
-    /// closed-form 128-byte-transaction + serialization + transfer
-    /// estimate (deterministic tie-break: first candidate in
-    /// enumeration order wins).
-    Transactions,
-}
-
 /// Requested device-side memory layout for the coefficient buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LayoutChoice {
-    /// Let the cost model pick.
+    /// Follow the transition rule: interleaved p-Thomas when `k = 0`,
+    /// the contiguous hybrid (tiled PCR then p-Thomas) otherwise.
     #[default]
     Auto,
     /// Force system-major buffers (the hybrid PCR + p-Thomas pipeline;
@@ -101,12 +85,9 @@ pub struct GpuSolverConfig {
     pub fused: bool,
     /// Grid mapping for the tiled PCR stage.
     pub mapping: MappingVariant,
-    /// Cost model the planner prices candidate pipelines with.
-    pub cost: CostModel,
-    /// Device-side layout request (`Auto` lets the cost model pick).
+    /// Device-side layout request (`Auto` follows the transition
+    /// rule).
     pub layout: LayoutChoice,
-    /// p-Thomas threads per block.
-    pub pthomas_block: u32,
     /// Execution options — set `exec.sanitize` to run every kernel in
     /// the pipeline under the memory/race sanitizer (compute-sanitizer
     /// analog); violations land in [`GpuSolveReport::violations`].
@@ -120,9 +101,7 @@ impl Default for GpuSolverConfig {
             sub_tile_scale: 1,
             fused: false,
             mapping: MappingVariant::Auto,
-            cost: CostModel::Legacy,
             layout: LayoutChoice::Auto,
-            pthomas_block: PTHOMAS_BLOCK,
             exec: ExecConfig::default(),
         }
     }

@@ -1,18 +1,18 @@
-//! Satellite of the layout-aware-planning refactor: `CostModel::Legacy`
-//! must reproduce the pre-refactor planner byte-for-byte across the
+//! Satellite of the layout-aware-planning refactor: the default
+//! decision rule must reproduce the pre-refactor planner byte-for-byte across the
 //! full 18-point CLI sweep (9 geometries x {f64, f32}).
 //!
 //! The pinned strings below are `SolvePlan::describe()` under the
-//! default (Legacy) config. The 11 Fig. 12/13 points among them are
+//! default config. The 11 Fig. 12/13 points among them are
 //! certified pre-refactor by `plan_snapshots.rs`; the remaining f32
-//! widths were captured from the same Legacy decision path. The
+//! widths were captured from the same decision path. The
 //! proptest side hammers purity: arbitrary seeds and execution-config
-//! noise must never perturb a Legacy plan.
+//! noise must never perturb a default plan.
 
 use proptest::prelude::*;
-use tridiag_gpu::solver::{CostModel, GpuSolverConfig, GpuTridiagSolver};
+use tridiag_gpu::solver::{GpuSolverConfig, GpuTridiagSolver};
 
-/// The CLI `plan --sweep` grid: 9 geometries at both scalar widths.
+/// The Fig. 12/13 sweep grid: 9 geometries at both scalar widths.
 const SWEEP: &[(usize, usize)] = &[
     (64, 512),
     (256, 512),
@@ -25,7 +25,7 @@ const SWEEP: &[(usize, usize)] = &[
     (1, 16384),
 ];
 
-/// Pinned `describe()` for every sweep point under the Legacy model.
+/// Pinned `describe()` for every sweep point under the default rule.
 const GOLDEN: &str = r#"
 === m=64 n=512 f64 ===
 plan: m=64 n=512 f64 on GTX480
@@ -423,7 +423,6 @@ fn parse_golden() -> Vec<(String, String)> {
 
 fn legacy_plan(m: usize, n: usize, bytes: usize, config: &GpuSolverConfig) -> String {
     let solver = GpuTridiagSolver::new(gpu_sim::DeviceSpec::gtx480(), *config);
-    assert_eq!(config.cost, CostModel::Legacy);
     solver
         .plan_geometry(m, n, bytes)
         .unwrap_or_else(|e| panic!("m={m} n={n}: {e}"))
@@ -450,9 +449,8 @@ fn legacy_plans_match_the_pinned_sweep() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Planning is pure: no execution-config switch, explicit-vs-default
-    /// cost model spelling, or rebuild may perturb a Legacy plan's
-    /// bytes on any sweep point.
+    /// Planning is pure: no execution-config switch or rebuild may
+    /// perturb a default plan's bytes on any sweep point.
     #[test]
     fn legacy_plans_are_pure_under_config_noise(
         idx in 0usize..18,
@@ -469,13 +467,12 @@ proptest! {
                 (false, true) => gpu_sim::ExecConfig::planned(),
                 (false, false) => gpu_sim::ExecConfig::default(),
             },
-            cost: CostModel::Legacy,
             ..Default::default()
         };
         prop_assert_eq!(
             &legacy_plan(m, n, bytes, &noisy),
             &base,
-            "exec/cost config noise perturbed the plan at m={} n={} bytes={}",
+            "exec config noise perturbed the plan at m={} n={} bytes={}",
             m, n, bytes
         );
         // Rebuild determinism, JSON included.

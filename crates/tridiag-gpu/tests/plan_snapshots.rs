@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 use tridiag_core::generators::random_batch;
-use tridiag_gpu::solver::{GpuSolveReport, GpuTridiagSolver};
+use tridiag_gpu::solver::{GpuSolveReport, GpuSolverConfig, GpuTridiagSolver, LayoutChoice};
 use tridiag_gpu::{GpuScalar, PlanExecutor};
 
 /// The Fig. 12/13 sweep: (label, precision, m, n) — the same points the
@@ -141,7 +141,7 @@ fn sweep_reports_match_pre_refactor_goldens() {
 
 /// The planner half of the sweep: `SolvePlan::describe()` per point.
 /// Pure — no kernel ever launches — so it runs in debug builds too.
-fn plan_sweep() -> Vec<(String, String)> {
+fn plan_descriptions() -> Vec<(String, String)> {
     SWEEP
         .iter()
         .map(|&(fig, prec, m, n)| {
@@ -158,7 +158,7 @@ fn plan_sweep() -> Vec<(String, String)> {
 #[test]
 #[ignore = "generator, not a check"]
 fn regenerate_plans() {
-    for (key, snap) in plan_sweep() {
+    for (key, snap) in plan_descriptions() {
         println!("=== {key} ===");
         print!("{snap}");
     }
@@ -168,7 +168,7 @@ fn regenerate_plans() {
 #[test]
 fn sweep_plan_descriptions_match_goldens() {
     let golden = parse_golden(GOLDEN_PLANS);
-    let actual = plan_sweep();
+    let actual = plan_descriptions();
     assert_eq!(actual.len(), golden.len(), "sweep size");
     for ((key, snap), (gkey, gsnap)) in actual.iter().zip(&golden) {
         assert_eq!(key, gkey, "sweep order");
@@ -178,14 +178,25 @@ fn sweep_plan_descriptions_match_goldens() {
 
 #[test]
 fn sweep_plan_json_is_schema_valid() {
-    for &(_, prec, m, n) in SWEEP {
-        let bytes = if prec == "f32" { 4 } else { 8 };
-        let plan = GpuTridiagSolver::gtx480().plan_geometry(m, n, bytes).unwrap();
-        let text = plan.to_json().to_string();
-        let doc = gpu_sim::json::parse(&text)
-            .unwrap_or_else(|e| panic!("m={m} n={n} {prec}: reparse failed: {e}"));
-        let problems = tridiag_gpu::validate_plan_json(&doc);
-        assert!(problems.is_empty(), "m={m} n={n} {prec}: {problems:?}");
+    for layout in [
+        LayoutChoice::Auto,
+        LayoutChoice::Contiguous,
+        LayoutChoice::Interleaved,
+    ] {
+        let config = GpuSolverConfig {
+            layout,
+            ..Default::default()
+        };
+        let solver = GpuTridiagSolver::new(gpu_sim::DeviceSpec::gtx480(), config);
+        for &(_, prec, m, n) in SWEEP {
+            let bytes = if prec == "f32" { 4 } else { 8 };
+            let plan = solver.plan_geometry(m, n, bytes).unwrap();
+            let text = plan.to_json().to_string();
+            let doc = gpu_sim::json::parse(&text)
+                .unwrap_or_else(|e| panic!("m={m} n={n} {prec} {layout:?}: reparse failed: {e}"));
+            let problems = tridiag_gpu::validate_plan_json(&doc);
+            assert!(problems.is_empty(), "m={m} n={n} {prec} {layout:?}: {problems:?}");
+        }
     }
 }
 

@@ -92,6 +92,7 @@ fn check_point<S: GpuScalar + Send + Sync>(label: &str, prec: &str, m: usize, n:
         );
         assert!(report.is_sanitizer_clean(), "{ctx} D={d}");
         assert!(report.is_phase_sum_clean(), "{ctx} D={d}");
+        assert!(report.is_verify_clean(), "{ctx} D={d}: certificate drifted");
         if d == 1 {
             // Identity: the single-device path, byte for byte.
             assert!(report.shards.is_empty(), "{ctx} D=1");

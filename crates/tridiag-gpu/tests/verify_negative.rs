@@ -327,3 +327,47 @@ fn split_kind_violations_fire_with_attribution() {
     assert_eq!(f.part, Some(1));
     assert!(f.message.contains("but the shard owns 32"), "{f}");
 }
+
+/// Row-split corruptions, each demanded to fire on the part it breaks:
+/// a chunk whose interior plan is gone leaves its interface values used
+/// before they are defined, a gapped row partition, and a reduced
+/// interface plan of the wrong size.
+#[test]
+fn row_split_violations_fire_with_chunk_attribution() {
+    let group = DeviceGroup::homogeneous(DeviceSpec::gtx480(), 2).unwrap();
+    let solver = GpuTridiagSolver::new(DeviceSpec::gtx480(), GpuSolverConfig::default());
+    let base = solver.plan_geometry_split(&group, 512, 8).unwrap();
+
+    let mut plan = base.clone();
+    plan.parts[0].plan = None;
+    let report = verify_distributed_plan(&group, &plan);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::InterfaceExchange && f.part == Some(0)),
+        "expected an interface-exchange finding on part 0: {:?}",
+        report.findings
+    );
+
+    let mut plan = base.clone();
+    plan.parts[1].start += 1;
+    let report = verify_distributed_plan(&group, &plan);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::ChunkPartition && f.part == Some(1)),
+        "expected a chunk-partition finding on part 1: {:?}",
+        report.findings
+    );
+
+    let mut plan = base.clone();
+    plan.reduced = Some(solver.plan_geometry(1, 2 * group.len() - 1, 8).unwrap());
+    let report = verify_distributed_plan(&group, &plan);
+    assert!(
+        report.findings.iter().any(|f| f.kind == FindingKind::ReducedSystem),
+        "expected a reduced-system finding: {:?}",
+        report.findings
+    );
+}

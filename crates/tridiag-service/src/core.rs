@@ -164,9 +164,9 @@ impl ServiceCore {
                 pin
             }
         };
-        // The layout decided at pin_m replays verbatim at every batch
-        // size (bit-neutrality of coalescing): the pinned config does
-        // not let the cost model re-score at the coalesced geometry.
+        // The decisions made at pin_m, layout included, replay verbatim
+        // at every batch size (bit-neutrality of coalescing): the rule
+        // never re-decides at the coalesced geometry.
         Ok(pin.config(&base))
     }
 

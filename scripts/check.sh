@@ -74,14 +74,12 @@ out="$(cargo run --release -q -p tridiag-cli -- solve --m 8 --n 256 --check)"
 grep -q "sanitizer   : clean" <<<"$out"
 grep -q "lint        : clean" <<<"$out"
 
-echo "== CLI plan smoke (dry-run planning, schema-validated JSON, exit 2 on drift) =="
-out="$(cargo run --release -q -p tridiag-cli -- plan --sweep)"
-grep -q -- "--layout contiguous" <<<"$out"
-grep -q -- "--layout interleaved" <<<"$out"
+echo "== CLI tests (exit codes, unknown options, plan JSON schema-validated) =="
+cargo test --release -q -p tridiag-cli
+
+echo "== CLI plan smoke (dry-run planning, no kernels launched) =="
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 16 --n 1024 --dry-run)"
 grep -q "dry run     : no kernels launched" <<<"$out"
-out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --json)"
-grep -q "tridiag.solve_plan/v2" <<<"$out"
 
 echo "== CLI layout smoke (forced layouts plan, solve and certify) =="
 out="$(cargo run --release -q -p tridiag-cli -- plan --m 64 --n 512 --layout interleaved)"
@@ -107,19 +105,11 @@ cargo test -q -p tridiag-gpu --test verify_negative
 echo "== plan verifier: properties (planner-built certifies clean, prediction exact) =="
 cargo test --release -q -p tridiag-gpu --test verify_props
 
-echo "== CLI verify sweep (certify + execute + exact certificate cross-check) =="
-cargo run --release -q -p tridiag-cli -- verify --sweep > /dev/null
+echo "== CLI verify smoke (static certificate, and certificate cross-checked on a solve) =="
 out="$(cargo run --release -q -p tridiag-cli -- verify --m 64 --n 512)"
 grep -q "clean" <<<"$out"
 out="$(cargo run --release -q -p tridiag-cli -- solve --m 8 --n 256 --verify)"
 grep -q "verify      : clean" <<<"$out"
-
-echo "== CLI verify negative (corruptions must exit 2 with findings) =="
-set +e
-cargo run --release -q -p tridiag-cli -- verify --negative > /dev/null 2>&1
-rc=$?
-set -e
-test "$rc" -eq 2
 
 echo "== API docs (first-party, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps \
@@ -164,13 +154,6 @@ out="$(cargo run --release -q -p tridiag-cli -- stats --requests 24)"
 grep -q "partitions report totals bit-exactly" <<<"$out"
 grep -q "slo: target" <<<"$out"
 cargo run --release -q -p tridiag-cli -- stats --requests 24 --json | grep -q "tridiag.metrics/v1"
-
-echo "== CLI stats negative (injected replay corruptions must exit 2 with findings) =="
-set +e
-cargo run --release -q -p tridiag-cli -- stats --requests 8 --negative > /dev/null 2>&1
-rc=$?
-set -e
-test "$rc" -eq 2
 
 echo "== telemetry artifact sweep (stats --out + serve --telemetry, all schemas validated) =="
 cargo run --release -q -p tridiag-cli -- stats --requests 24 --out "$tracedir/tel" > /dev/null

@@ -249,7 +249,7 @@ proptest! {
     fn transition_always_valid(m in 1usize..100_000, n in 1usize..100_000) {
         for policy in [
             transition::TransitionPolicy::Gtx480Heuristic,
-            transition::TransitionPolicy::CostModel { parallelism: 23040, k_max: 12 },
+            transition::TransitionPolicy::TableII { parallelism: 23040, k_max: 12 },
             transition::TransitionPolicy::Fixed(9),
         ] {
             let k = transition::choose_k(policy, m, n);
